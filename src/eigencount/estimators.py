@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import EigencountError, InvalidInputError, SolverError
 from .noise import NoiseFit, estimate_noise_and_spikes
-from .normal import normal_tail_inv
-from .probabilities import (ThresholdContext, _s_alpha, pe_rmt, pe_srmt,
-                            theta_rmt, theta_srmt)
+from .probabilities import (ThresholdContext, _s_alpha, _z_threshold, pe_rmt,
+                            pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import decision_statistic
 from .spectral import Spectrum
 from .tracy_widom import centering_mu, scaling_sigma
@@ -136,20 +135,25 @@ def _clamped_log(x: np.ndarray) -> np.ndarray:
 
 
 def _likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
-    """n (p-k) ln(arithmetic/geometric mean of trailing eigenvalues), all k."""
+    """n (p-k) ln(arithmetic/geometric mean of trailing eigenvalues), all k.
+
+    Memoised on the spectrum, so the three information criteria share one
+    evaluation; the returned array is read-only.
+    """
+    return spectrum._memoised(("likelihood_terms",),
+                              lambda: _compute_likelihood_terms(spectrum))
+
+
+def _compute_likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
     vals = spectrum.eigenvalues
     p, n = spectrum.p, spectrum.n
     kmax = min(p, n) - 1
-    logs = _clamped_log(vals)
     degenerate = bool(np.any(vals <= 0.0))
-    terms = np.empty(kmax + 1)
-    tail_sum = np.cumsum(vals[::-1])[::-1]
-    tail_log = np.cumsum(logs[::-1])[::-1]
-    for k in range(kmax + 1):
-        m = p - k
-        ln_a = float(_clamped_log(np.array([tail_sum[k] / m]))[0])
-        ln_g = tail_log[k] / m
-        terms[k] = n * m * (ln_a - ln_g)
+    tail_sum = np.cumsum(vals[::-1])[::-1][:kmax + 1]
+    tail_log = np.cumsum(_clamped_log(vals)[::-1])[::-1][:kmax + 1]
+    m = p - np.arange(kmax + 1)
+    terms = n * m * (_clamped_log(tail_sum / m) - tail_log / m)
+    terms.flags.writeable = False
     return terms, degenerate
 
 
@@ -230,8 +234,7 @@ def _signal_search_step(spectrum: Spectrum, fit: NoiseFit, k: int,
     if float(fit.lambda_hat[k - 1]) <= 0.0:
         return False, None, None
     stat = decision_statistic(k, spectrum, fit, config.beta)
-    threshold = (fit.sigma2_hat * math.sqrt(spectrum.gamma)
-                 - stat.delta * normal_tail_inv(config.alpha0))
+    threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta, config.alpha0)
     return stat.z > threshold, stat, threshold
 
 
@@ -280,6 +283,9 @@ def estimate_sns(spectrum: Spectrum, config: EstimatorConfig | None = None) -> M
         try:
             fit, criterion, accepted, row = _sns_step(spectrum, k, fit_km1, config,
                                                       gamma)
+        except InvalidInputError:
+            # A bad input is the same error whichever estimator meets it.
+            raise
         except EigencountError as exc:
             raise SolverError(f"adaptive scan failed at k={k}: {exc}") from exc
         trace.rows.append(TraceRow(criterion=criterion, accepted=accepted, **row))

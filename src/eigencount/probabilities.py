@@ -26,6 +26,31 @@ def _s_alpha(alpha: float, beta: int) -> float:
     return tw_quantile(alpha, beta)
 
 
+@lru_cache(maxsize=64)
+def _q_inv(alpha0: float) -> float:
+    """Q^{-1}(alpha0): a per-config constant, computed once per process."""
+    return normal_tail_inv(alpha0)
+
+
+def _z_threshold(sigma2: float, gamma: float, delta: float, alpha0: float) -> float:
+    """The signal-search threshold on z: sigma2 sqrt(gamma) - delta Q^{-1}(alpha0)."""
+    return sigma2 * math.sqrt(gamma) - delta * _q_inv(alpha0)
+
+
+def signal_threshold(fit: NoiseFit, i: int, gamma: float, alpha0: float,
+                     beta: int = 1) -> float:
+    """Detection-limit threshold for z: sigma2 sqrt(gamma) - delta Q^{-1}(alpha0).
+
+    Q^{-1} is the upper-tail inverse, so for alpha0 > 0.5 the threshold sits
+    above the raw detection limit by |Q^{-1}(alpha0)| standard deviations.
+    """
+    if not 0.0 < alpha0 < 1.0:
+        raise InvalidInputError(f"alpha0 must lie in (0, 1), got {alpha0}")
+    lam_i = float(fit.lambda_hat[i - 1])
+    delta, _ = stat_std_dev(lam_i, fit.sigma2_hat, fit.p, fit.k, fit.n, beta)
+    return _z_threshold(fit.sigma2_hat, gamma, delta, alpha0)
+
+
 @dataclass(frozen=True)
 class ProbPair:
     """Miss/false probabilities of one test variant at one step."""
@@ -111,7 +136,7 @@ def theta_srmt(ctx: ThresholdContext) -> float:
     """Threshold on l_k equivalent to the signal-search test on z."""
     sigma2 = ctx.fit_k.sigma2_hat
     return (sigma2 * (1.0 + math.sqrt(ctx.gamma))
-            - ctx.delta_k * normal_tail_inv(ctx.alpha0)) * ctx.kappa_k
+            - ctx.delta_k * _q_inv(ctx.alpha0)) * ctx.kappa_k
 
 
 def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
@@ -146,7 +171,7 @@ def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
     elif not with_interaction:
         p_miss, saturated = 1.0 - ctx.alpha0, False
     else:
-        p_miss = norm_cdf(normal_tail_inv(ctx.alpha0)
+        p_miss = norm_cdf(_q_inv(ctx.alpha0)
                           + ctx.v_k / (ctx.kappa_k * ctx.delta_k))
         saturated = False
 

@@ -1,6 +1,7 @@
 """Interaction term, scale factor and decision statistic for the
-signal-search test, together with the statistic's standard deviation and
-detection threshold."""
+signal-search test, together with the statistic's standard deviation.  The
+test's detection threshold lives with the other thresholds in
+probabilities.py."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .noise import NoiseFit
-from .normal import normal_tail_inv
 from .spectral import Spectrum
 
 # Pairwise strength gaps below TIE_CLAMP_SCALE * max(lambda_hat, sigma2) are
@@ -93,16 +93,3 @@ def decision_statistic(i: int, spectrum: Spectrum, fit: NoiseFit,
     z = (float(spectrum.eigenvalues[i - 1]) - v) / kappa - sigma2
     return SignalStat(z=z, v=v, kappa=kappa, delta=delta, delta_valid=valid)
 
-
-def signal_threshold(fit: NoiseFit, i: int, gamma: float, alpha0: float,
-                     beta: int = 1) -> float:
-    """Detection-limit threshold for z: sigma2 sqrt(gamma) - delta Q^{-1}(alpha0).
-
-    Q^{-1} is the upper-tail inverse, so for alpha0 > 0.5 the threshold sits
-    above the raw detection limit by |Q^{-1}(alpha0)| standard deviations.
-    """
-    if not 0.0 < alpha0 < 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1), got {alpha0}")
-    lam_i = float(fit.lambda_hat[i - 1])
-    delta, _ = stat_std_dev(lam_i, fit.sigma2_hat, fit.p, fit.k, fit.n, beta)
-    return fit.sigma2_hat * math.sqrt(gamma) - delta * normal_tail_inv(alpha0)

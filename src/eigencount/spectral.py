@@ -4,7 +4,7 @@ finite-sample eigenvalue formulas for the spiked covariance model."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,11 +45,18 @@ class SnapshotMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Descending sample eigenvalues with their (p, n) context attached."""
+    """Descending sample eigenvalues with their (p, n) context attached.
+
+    The eigenvalues are stored read-only, so every quantity derived from
+    them alone can be computed once per spectrum: the noise fits and the
+    information-criterion likelihood terms are memoised on the instance and
+    shared by every estimator that runs on it (see `_memoised`).
+    """
 
     eigenvalues: np.ndarray
     p: int
     n: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
@@ -57,17 +64,31 @@ class Spectrum:
             raise InvalidInputError("eigenvalues must be a length-p vector")
         if self.n < 1:
             raise InvalidInputError("sample count must be positive")
+        if not np.all(np.isfinite(vals)):
+            raise InvalidInputError("eigenvalues contain non-finite entries")
         if np.any(np.diff(vals) > 1e-12 * max(1.0, abs(float(vals[0])))):
             raise InvalidInputError("eigenvalues must be sorted in descending order")
         if np.any(vals < -NEG_CLAMP):
             raise InvalidInputError(
                 f"eigenvalue {vals.min():g} below the PSD round-off tolerance")
         vals = np.where(vals < 0.0, 0.0, vals)
+        vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
 
     @property
     def gamma(self) -> float:
         return self.p / self.n
+
+    def _memoised(self, key, compute):
+        """compute(), evaluated once per spectrum and key.
+
+        The result is shared by every later caller with the same key, so it
+        must not be mutated; arrays in it are made read-only by the callers.
+        An exception propagates and leaves nothing cached.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @classmethod
     def from_values(cls, values, n: int) -> "Spectrum":
@@ -79,8 +100,6 @@ class Spectrum:
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise InvalidInputError("need a 1-D vector of eigenvalues")
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("eigenvalues contain non-finite entries")
         order = np.argsort(-values, kind="stable")
         return cls(values[order], values.size, n)
 

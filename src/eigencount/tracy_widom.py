@@ -10,6 +10,7 @@ endpoints already carry less than 1e-9 of probability mass.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,8 @@ class TWTable:
     grid: np.ndarray
     cdf_values: np.ndarray
     _slopes: np.ndarray = field(repr=False, default=None)
+    # (grid, cdf_values, _slopes) as lists of Python floats, for scalar calls.
+    _lists: tuple = field(repr=False, default=None, compare=False)
 
     def __post_init__(self):
         if self.beta not in (1, 2):
@@ -81,10 +84,22 @@ class TWTable:
             raise InvalidInputError("tabulated endpoints must carry <1e-9 tail mass")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cdf_values", cdf)
-        object.__setattr__(self, "_slopes", _pchip_slopes(grid, cdf))
+        slopes = _pchip_slopes(grid, cdf)
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_lists", (grid.tolist(), cdf.tolist(), slopes.tolist()))
 
     def cdf(self, x):
+        """F(x) for a scalar (returned as a float) or an array of points.
+
+        Python and NumPy float scalars take a pure-Python path with the same
+        arithmetic as the array path, so both give identical bits.  NaN is
+        rejected.
+        """
+        if isinstance(x, (float, int)):
+            return self._scalar_cdf(float(x))
         x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise InvalidInputError("Tracy-Widom CDF argument is NaN")
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         out = np.empty_like(x)
@@ -110,6 +125,27 @@ class TWTable:
             out[inside] = np.clip(y0 + increment, y0, y1)
         out = np.clip(out, 0.0, 1.0)
         return float(out[0]) if scalar else out
+
+    def _scalar_cdf(self, x: float) -> float:
+        grid, cdf, slopes = self._lists
+        if x != x:
+            raise InvalidInputError("Tracy-Widom CDF argument is NaN")
+        if x <= grid[0]:
+            return 0.0
+        if x >= grid[-1]:
+            return 1.0
+        i = bisect_right(grid, x) - 1
+        h = grid[i + 1] - grid[i]
+        t = (x - grid[i]) / h
+        y0, y1 = cdf[i], cdf[i + 1]
+        m0, m1 = slopes[i] * h, slopes[i + 1] * h
+        # The array path's Hermite increment, term for term.
+        delta = y1 - y0
+        c2 = 3.0 * delta - 2.0 * m0 - m1
+        c3 = m0 + m1 - 2.0 * delta
+        increment = t * (m0 + t * (c2 + t * c3))
+        # [y0, y1] lies inside [0, 1], so the array path's final clip is a no-op.
+        return min(max(y0 + increment, y0), y1)
 
 
 def _build_tables() -> dict[int, TWTable]:

@@ -186,3 +186,11 @@ class TestUsage:
             main([sub, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+def test_non_finite_eigenvalue_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("inf\n2.0\n1.0\n1.0\n")
+    code, _, err = run_cli(capsys, "estimate", str(path), "--n", "10",
+                           "--method", "rmt")
+    assert code == 2 and "non-finite" in err

@@ -248,3 +248,72 @@ class TestCommonProperties:
             ec.EstimatorConfig(alpha0=0.4)
         with pytest.raises(InvalidInputError):
             ec.EstimatorConfig(beta=3)
+
+
+def reference_likelihood_terms(spectrum):
+    """The per-k loop that _likelihood_terms replaces, kept as its oracle."""
+    from eigencount.estimators import _clamped_log
+    vals = spectrum.eigenvalues
+    p, n = spectrum.p, spectrum.n
+    kmax = min(p, n) - 1
+    logs = _clamped_log(vals)
+    terms = np.empty(kmax + 1)
+    tail_sum = np.cumsum(vals[::-1])[::-1]
+    tail_log = np.cumsum(logs[::-1])[::-1]
+    for k in range(kmax + 1):
+        m = p - k
+        ln_a = float(_clamped_log(np.array([tail_sum[k] / m]))[0])
+        ln_g = tail_log[k] / m
+        terms[k] = n * m * (ln_a - ln_g)
+    return terms, bool(np.any(vals <= 0.0))
+
+
+class TestSharedComputation:
+    def test_likelihood_terms_match_reference_loop(self):
+        from eigencount.estimators import _likelihood_terms
+        rng = np.random.RandomState(36)
+        spectra = [random_spectrum(rng, p=p, n=n)
+                   for p, n in ((12, 30), (30, 10), (200, 400), (15, 15))]
+        spectra.append(spectrum_from_values([4.0, 2.0, 1.0, 0.0, 0.0], 8))
+        for spectrum in spectra:
+            terms, degenerate = _likelihood_terms(spectrum)
+            expected, expected_degenerate = reference_likelihood_terms(spectrum)
+            assert terms.tobytes() == expected.tobytes()
+            assert degenerate == expected_degenerate
+            assert not terms.flags.writeable
+            assert _likelihood_terms(spectrum)[0] is terms
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The k of every noise/spike solver run while the test runs."""
+        from eigencount import noise
+        calls = []
+        original = noise._fixed_point
+
+        def counting(spectrum, k, tol, max_iter):
+            calls.append(k)
+            return original(spectrum, k, tol, max_iter)
+
+        monkeypatch.setattr(noise, "_fixed_point", counting)
+        return calls
+
+    def test_run_trial_solves_each_k_at_most_once(self, solved):
+        spec = ec.preset_scenario("fig11", trials=1, base_seed=5)
+        for _, p, n in spec.sweep_points():
+            solved.clear()
+            ec.run_trial(spec, 0, p, n)
+            assert solved and len(solved) == len(set(solved))
+
+    def test_estimators_called_one_by_one_share_fits(self, solved):
+        spectrum = sampled_spectrum([8.0, 5.0, 2.0], p=50, n=100, seed=98)
+        depth = max(len(ec.estimate(spectrum, m).trace.rows) for m in ("rmt", "srmt", "sns"))
+        assert sorted(solved) == list(range(depth + 1))
+
+    def test_all_zero_spectrum_same_error_class(self):
+        spectrum = spectrum_from_values(np.zeros(6), 10)
+        classes = set()
+        for method in ("rmt", "srmt", "sns"):
+            with pytest.raises(ec.EigencountError) as info:
+                ec.estimate(spectrum, method)
+            classes.add(type(info.value))
+        assert classes == {InvalidInputError}

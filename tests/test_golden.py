@@ -1,0 +1,71 @@
+"""Golden gate: the seeded q_hats and decision traces must not move.
+
+Pins the sha256 of every estimator's q_hat and of the rmt / srmt / sns trace
+CSVs on a fixed set of spectra: the fig4, fig7 and fig11 desk points with
+four trials each, plus one rank-deficient geometry (p = 20, n = 10).  A
+change that is meant to keep the arithmetic identical (caching, fast paths,
+refactors of the scan loops) must leave every hash as it is.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from eigencount.estimators import ESTIMATORS, METHOD_ORDER, EstimatorConfig
+from eigencount.simulation import (ScenarioSpec, generate_snapshots,
+                                   preset_scenario, trial_rng)
+from eigencount.spectral import eig_sym_desc, sample_covariance
+
+TRIALS = 4
+BASE_SEED = 20140519
+SCAN_METHODS = ("rmt", "srmt", "sns")
+
+
+def _cases(name):
+    if name == "rank-deficient":
+        spec = ScenarioSpec(lambdas=(9.0, 6.0, 4.0, 3.0, 2.5), p=20, n=10,
+                            trials=TRIALS, base_seed=BASE_SEED)
+    else:
+        spec = preset_scenario(name, trials=TRIALS, base_seed=BASE_SEED)
+    for _, p, n in spec.sweep_points():
+        for idx in range(TRIALS):
+            snapshots = generate_snapshots(spec.model(p), n, trial_rng(spec.base_seed, idx))
+            yield eig_sym_desc(sample_covariance(snapshots.data), n)
+
+
+def golden_digests(name):
+    """(sha256 of the q_hats, sha256 of the rmt/srmt/sns trace CSVs)."""
+    config = EstimatorConfig()
+    q_hats, traces = [], []
+    for spectrum in _cases(name):
+        results = {m: ESTIMATORS[m](spectrum, config) for m in METHOD_ORDER}
+        q_hats.append(tuple(results[m].q_hat for m in METHOD_ORDER))
+        traces.extend(results[m].trace.to_csv_string() for m in SCAN_METHODS)
+    return (hashlib.sha256(repr(q_hats).encode()).hexdigest(),
+            hashlib.sha256("".join(traces).encode()).hexdigest())
+
+
+GOLDEN = {
+    "fig4": ("a03602f4f43d0e1ae04098ef11b6c8d2ba95390593e5c17bcf75b2cbfcd51a1f",
+             "48ad73787d2731a08086a25cfe11179392998e4fb6dbff7bc90f0561ba4f440b"),
+    "fig7": ("aad3194b2ee229429ae894bdea60e7aca0e38517aa54a2cff820c5a181dfa33e",
+             "fbc9d2a45b9728156eed29b9b93625b708e238f5abe2b373d15467453dee6b8a"),
+    "fig11": ("7bf854440cafa0d3a908378d13b4e0fad854e81a63d41725fd8092bb8cc35052",
+              "0c3dcc87d4946bd3ed6b3286321752055a31f43c31bfe820de1152a5840f86ae"),
+    "rank-deficient": ("c6bcc67a98b48ef28f56cee94d230d07ef7a37ce755d98311ec3cec97c40ef3a",
+                       "70b420528b1e50cb5977f7d02389489407f6c627e3a6d09fb192258422be6b26"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(name):
+    q_digest, trace_digest = golden_digests(name)
+    assert q_digest == GOLDEN[name][0], f"{name}: q_hats moved"
+    assert trace_digest == GOLDEN[name][1], f"{name}: trace CSVs moved"
+
+
+def test_rank_deficient_case_is_rank_deficient():
+    spectrum = next(_cases("rank-deficient"))
+    assert spectrum.p == 20 and spectrum.n == 10
+    assert np.count_nonzero(spectrum.eigenvalues > 1e-9) <= 10

@@ -142,3 +142,46 @@ class TestJointSolver:
         spectrum = spectrum_from_values(np.linspace(3.0, 1.0, 10), 5)
         with pytest.raises(InvalidInputError):
             ec.estimate_noise_and_spikes(spectrum, 5)  # min(p, n) - 1 = 4
+
+
+class TestSharedFits:
+    def test_roots_equal_solve_rho_per_root(self):
+        """The fixed point's roots are solve_rho's, degenerate roots included."""
+        degenerate_seen = 0
+        for seed in range(12):
+            spectrum = sampled_spectrum([6.0, 3.0, 1.5], p=40, n=30, seed=4100 + seed)
+            for k in range(1, 12):
+                fit = ec.estimate_noise_and_spikes(spectrum, k)
+                for j in range(k):
+                    rho, degenerate = ec.solve_rho(spectrum.eigenvalues[j], fit.sigma2_hat,
+                                                   spectrum.p, k, spectrum.n)
+                    assert rho == fit.rho_hat[j]
+                    assert degenerate == fit.degenerate_roots[j]
+                    degenerate_seen += degenerate
+        assert degenerate_seen > 0
+
+    def test_fit_is_memoised_per_spectrum(self):
+        spectrum = sampled_spectrum([6.0, 3.0], p=30, n=60, seed=4200)
+        fit = ec.estimate_noise_and_spikes(spectrum, 2)
+        assert ec.estimate_noise_and_spikes(spectrum, 2) is fit
+        assert ec.estimate_noise_and_spikes(spectrum, 2, tol=1e-6) is not fit
+        twin = ec.Spectrum(spectrum.eigenvalues, spectrum.p, spectrum.n)
+        fresh = ec.estimate_noise_and_spikes(twin, 2)
+        assert fresh is not fit
+        assert fresh.sigma2_hat == fit.sigma2_hat
+        assert fresh.rho_hat.tobytes() == fit.rho_hat.tobytes()
+
+    def test_memoised_arrays_are_read_only(self):
+        spectrum = sampled_spectrum([6.0, 3.0], p=30, n=60, seed=4201)
+        for k in (0, 2):
+            fit = ec.estimate_noise_and_spikes(spectrum, k)
+            for array in (fit.rho_hat, fit.lambda_hat, fit.degenerate_roots):
+                assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            fit.lambda_hat[0] = 0.0
+
+    def test_invalid_k_not_cached(self):
+        spectrum = sampled_spectrum([6.0], p=10, n=20, seed=4202)
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                ec.estimate_noise_and_spikes(spectrum, 10)

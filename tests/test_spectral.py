@@ -205,3 +205,38 @@ class TestTypes:
             ec.PopulationModel(np.array([1.0]), 1.0, 1)  # q >= p
         model = ec.PopulationModel(np.array([3.0, 1.0]), 2.0, 4)
         np.testing.assert_allclose(model.covariance_diagonal(), [5.0, 3.0, 2.0, 2.0])
+
+
+class TestSpectrumContract:
+    @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
+    def test_non_finite_eigenvalues_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            Spectrum(np.array([bad, 2.0, 1.0, 1.0]), 4, 10)
+        with pytest.raises(InvalidInputError):
+            Spectrum.from_values(np.array([2.0, bad, 1.0, 1.0]), 10)
+
+    def test_eigenvalues_read_only(self):
+        values = np.array([3.0, 2.0, 1.0])
+        spectrum = Spectrum(values, 3, 10)
+        with pytest.raises(ValueError):
+            spectrum.eigenvalues[0] = 5.0
+        values[0] = 5.0  # the caller's array is not frozen or shared
+        assert spectrum.eigenvalues[0] == 3.0
+
+    def test_memo_is_per_instance_and_invisible(self):
+        a = Spectrum(np.array([3.0, 2.0, 1.0]), 3, 10)
+        b = Spectrum(np.array([3.0, 2.0, 1.0]), 3, 10)
+        assert a._memoised("key", lambda: [1]) == [1]
+        assert b._memoised("key", lambda: [2]) == [2]
+        assert a._memoised("key", lambda: [3]) == [1]
+        assert "memo" not in repr(a)
+
+    def test_memo_does_not_cache_exceptions(self):
+        spectrum = Spectrum(np.array([3.0, 2.0, 1.0]), 3, 10)
+
+        def fail():
+            raise InvalidInputError("boom")
+
+        with pytest.raises(InvalidInputError):
+            spectrum._memoised("key", fail)
+        assert spectrum._memoised("key", lambda: 7) == 7

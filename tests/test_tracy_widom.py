@@ -172,3 +172,40 @@ def test_monte_carlo_edge_law():
         spectrum = eig_sym_desc(sample_covariance(snap.data), n)
         exceed += spectrum.eigenvalues[0] > threshold
     assert 0.02 <= exceed / trials <= 0.09
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+class TestScalarCdfPath:
+    """Scalar calls take a pure-Python path; it must match the array path."""
+
+    @pytest.mark.parametrize("beta", (1, 2))
+    def test_scalar_equals_array_bit_for_bit(self, beta):
+        grid = tw_table(beta).grid
+        tiny = np.spacing(np.abs(grid[[0, -1]]))
+        points = np.concatenate([
+            grid,                                      # grid nodes
+            0.5 * (grid[:-1] + grid[1:]),              # midpoints
+            grid[:-1] + 0.3 * np.diff(grid),
+            [grid[0] - tiny[0], grid[0] + tiny[0],     # +- the edges
+             grid[-1] - tiny[1], grid[-1] + tiny[1],
+             grid[0] - 1.0, grid[-1] + 1.0,            # outside the table
+             -np.inf, np.inf],
+        ])
+        array_values = ec.tw_cdf(points, beta)
+        for x, expected in zip(points, array_values):
+            for scalar in (float(x), np.float64(x)):
+                value = ec.tw_cdf(scalar, beta)
+                assert type(value) is float
+                assert _bits(value) == _bits(expected), x
+
+    def test_integer_argument(self):
+        assert ec.tw_cdf(0) == ec.tw_cdf(np.array([0.0]))[0]
+
+    @pytest.mark.parametrize("bad", (float("nan"), np.float64("nan"),
+                                     np.array(np.nan), np.array([0.0, np.nan])))
+    def test_nan_rejected_on_both_paths(self, bad):
+        with pytest.raises(InvalidInputError):
+            ec.tw_cdf(bad)

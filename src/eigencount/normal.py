@@ -88,11 +88,19 @@ def norm_ppf_array(p: np.ndarray) -> np.ndarray:
     """Vectorised norm_ppf for bulk sampling; same kernel, same polish."""
     p = np.asarray(p, dtype=float)
     x = _acklam(p)
-    # Residual Phi(x) - p, evaluated through erfc on whichever side keeps
-    # full relative accuracy.
-    err = np.where(p >= 0.5,
-                   (1.0 - p) - 0.5 * _erfc_array(x / _SQRT2),
-                   0.5 * _erfc_array(-x / _SQRT2) - p)
+    # Residual Phi(x) - p through erfc on the side that keeps full relative
+    # accuracy: 0.5 erfc(-x/sqrt2) - p below 0.5, (1 - p) - 0.5 erfc(x/sqrt2)
+    # above.  Multiplying by -1 or +1 is exact, so one erfc call serves both
+    # sides with bit-identical x (a zero residual may flip sign, which leaves
+    # x unchanged).  The signs are products because a masked negation on a
+    # random mask costs about as much as erfc itself.
+    lower = p < 0.5
+    err = (1.0 - 2.0 * lower) * x
+    err /= _SQRT2
+    _erfc_array(err, out=err)
+    err *= 0.5
+    err -= np.where(lower, p, 1.0 - p)
+    err *= 2.0 * lower - 1.0
     x -= err * _SQRT2PI * np.exp(0.5 * x * x)
     return x
 

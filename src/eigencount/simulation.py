@@ -203,44 +203,61 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     return {m: ESTIMATORS[m](spectrum, spec.config).q_hat for m in spec.methods}
 
 
-def _count_chunk(args) -> dict[str, list[int]]:
-    spec, p, n, q_true, indices = args
-    counts = {m: [0, 0] for m in spec.methods}
-    for idx in indices:
-        q_hats = run_trial(spec, idx, p, n)
-        for m, q_hat in q_hats.items():
+def _count_block(args) -> dict[int, dict[str, list[int]]]:
+    """Misdetection counts of one contiguous block of the flattened sweep.
+
+    Item f of the flattened sweep is trial f % trials of point f // trials,
+    so a block [start, stop) covers the tail of one point, whole points and
+    the head of another, in sweep order.  Counts are keyed by point index,
+    which keeps duplicate grid values apart.
+    """
+    spec, points, start, stop = args
+    q_true = spec.q
+    counts: dict[int, dict[str, list[int]]] = {}
+    for item in range(start, stop):
+        point, idx = divmod(item, spec.trials)
+        _, p, n = points[point]
+        tally = counts.setdefault(point, {m: [0, 0] for m in spec.methods})
+        for m, q_hat in run_trial(spec, idx, p, n).items():
             if q_hat < q_true:
-                counts[m][0] += 1
+                tally[m][0] += 1
             elif q_hat > q_true:
-                counts[m][1] += 1
+                tally[m][1] += 1
     return counts
 
 
 def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     """Run all trials at every sweep point and aggregate misdetections.
 
-    Aggregation is a commutative count merge, so the result is identical
-    for any execution order and any number of worker processes.
+    With jobs > 1 the (point, trial) items of the whole sweep are split into
+    contiguous blocks whose sizes differ by at most one, and one process pool
+    of min(jobs, items) workers counts one block each; the pool is shut down
+    and its workers joined before the call returns.  Aggregation is a
+    commutative count merge, so the result is identical for any execution
+    order and any number of worker processes.
     """
-    q_true = spec.q
-    rows = []
-    for sweep_value, p, n in spec.sweep_points():
-        totals = {m: [0, 0] for m in spec.methods}
-        indices = list(range(spec.trials))
-        if jobs > 1:
-            chunks = [(spec, p, n, q_true, indices[i::jobs]) for i in range(jobs)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                partials = list(pool.map(_count_chunk, chunks))
-        else:
-            partials = [_count_chunk((spec, p, n, q_true, indices))]
-        for partial in partials:
-            for m, (under, over) in partial.items():
-                totals[m][0] += under
-                totals[m][1] += over
-        for m in spec.methods:
-            rows.append(SweepRow(sweep_value=sweep_value, method=m,
-                                 trials=spec.trials, count_under=totals[m][0],
-                                 count_over=totals[m][1]))
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
+    points = spec.sweep_points()
+    total = len(points) * spec.trials
+    workers = min(jobs, total)
+    if workers > 1:
+        size, extra = divmod(total, workers)
+        bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+        blocks = [(spec, points, start, stop) for start, stop in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_count_block, blocks))
+    else:
+        partials = [_count_block((spec, points, 0, total))]
+    totals = {point: {m: [0, 0] for m in spec.methods} for point in range(len(points))}
+    for partial in partials:
+        for point, counts in partial.items():
+            for m, (under, over) in counts.items():
+                totals[point][m][0] += under
+                totals[point][m][1] += over
+    rows = [SweepRow(sweep_value=sweep_value, method=m, trials=spec.trials,
+                     count_under=totals[point][m][0], count_over=totals[point][m][1])
+            for point, (sweep_value, _, _) in enumerate(points) for m in spec.methods]
     rows.sort(key=lambda r: (r.sweep_value, r.method))
     return SweepResult(rows=tuple(rows))
 

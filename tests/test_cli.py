@@ -158,6 +158,12 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep")
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_exits_1(self, jobs, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--preset", "fig1", "--trials", "2",
+                               "--methods", "rmt", "--jobs", jobs)
+        assert code == 1 and "jobs" in err
+
 
 class TestTraceCommand:
     def test_stdout_csv(self, tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import erfc, ndtri
 
 from eigencount.errors import InvalidInputError
-from eigencount.normal import (norm_cdf, norm_ppf, norm_ppf_array, norm_sf,
-                               normal_tail_inv)
+from eigencount.normal import (_P_LOW, _SQRT2, _SQRT2PI, _acklam, norm_cdf,
+                               norm_ppf, norm_ppf_array, norm_sf, normal_tail_inv)
 
 
 def test_tail_inv_median():
@@ -40,6 +40,25 @@ def test_vectorised_ppf_matches_scalar():
     vec = norm_ppf_array(probs)
     scal = np.array([norm_ppf(float(p)) for p in probs])
     np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-14)
+
+
+def _two_branch_ppf(p):
+    """Reference polish: erfc evaluated on both sides, one side kept."""
+    x = _acklam(p)
+    err = np.where(p >= 0.5,
+                   (1.0 - p) - 0.5 * erfc(x / _SQRT2),
+                   0.5 * erfc(-x / _SQRT2) - p)
+    x -= err * _SQRT2PI * np.exp(0.5 * x * x)
+    return x
+
+
+def test_vectorised_ppf_bit_identical_to_two_branch_polish():
+    edges = [2.0**-64, 0.5, 1.0 - 2.0**-53]
+    for edge in (_P_LOW, 1.0 - _P_LOW, 0.5):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    rng = np.random.RandomState(5)
+    for probs in (np.array(edges), rng.uniform(2.0**-64, 1.0, size=(40, 60))):
+        assert norm_ppf_array(probs).tobytes() == _two_branch_ppf(probs).tobytes()
 
 
 def test_cdf_sf_complementarity():

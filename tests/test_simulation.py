@@ -1,7 +1,13 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigencount as ec
+from eigencount import simulation
 from eigencount.errors import InvalidInputError
 from eigencount.simulation import (DESK_TRIALS, FULL_TRIALS, PRESET_NAMES,
                                    ScenarioSpec, SweepResult, _PRESETS,
@@ -107,6 +113,81 @@ class TestRunSweep:
         rows = run_sweep(spec).rows
         keys = [(r.sweep_value, r.method) for r in rows]
         assert keys == sorted(keys)
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace the process pool by an in-process stand-in; list each max_workers."""
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    return opened
+
+
+class TestSweepPool:
+    SPEC = ScenarioSpec(lambdas=(2.5,), p_list=(16, 20, 24), gamma=0.5, trials=5,
+                        base_seed=12, methods=("rmt", "sns", "aic"))
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_non_positive_jobs_rejected(self, jobs):
+        with pytest.raises(InvalidInputError, match="jobs"):
+            run_sweep(self.SPEC, jobs=jobs)
+
+    def test_workers_capped_at_work_items(self, inline_pools):
+        one_point = replace(self.SPEC, p_list=(16,), trials=3)
+        serial = run_sweep(one_point)
+        assert run_sweep(one_point, jobs=64) == serial
+        assert run_sweep(self.SPEC, jobs=64) == run_sweep(self.SPEC)
+        assert inline_pools == [3, 15]
+
+    def test_one_pool_per_call_and_workers_joined(self, monkeypatch):
+        opened = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        run_sweep(self.SPEC, jobs=2)
+        assert opened == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("p_list, trials", [((16, 20, 24), 5), ((16,), 2)])
+    def test_csv_bytes_equal_for_uneven_blocks(self, p_list, trials):
+        spec = replace(self.SPEC, p_list=p_list, trials=trials)
+        serial = run_sweep(spec).to_csv_string()
+        for jobs in (2, 3):
+            assert run_sweep(spec, jobs=jobs).to_csv_string() == serial
+
+    def test_duplicate_points_keep_separate_rows(self):
+        single = run_sweep(replace(self.SPEC, p_list=(16,))).rows
+        doubled = tuple(row for row in single for _ in range(2))
+        spec = replace(self.SPEC, p_list=(16, 16))
+        for jobs in (1, 3):
+            assert run_sweep(spec, jobs=jobs).rows == doubled
+
+    @settings(max_examples=5, deadline=None)
+    @given(grid=st.lists(st.sampled_from((12, 16, 20)), min_size=1, max_size=3),
+           trials=st.integers(1, 7), jobs=st.integers(2, 3),
+           seed=st.integers(0, 2**32))
+    def test_parallel_equals_serial_property(self, grid, trials, jobs, seed):
+        spec = ScenarioSpec(lambdas=(4.0, 2.5), p_list=tuple(grid), gamma=0.5,
+                            trials=trials, base_seed=seed)
+        assert run_sweep(spec, jobs=jobs).to_csv_string() == run_sweep(spec).to_csv_string()
 
 
 class TestPresets:

@@ -15,7 +15,7 @@ from .estimators import (ESTIMATORS, METHOD_ORDER, DecisionTrace,
                          estimate_rmt, estimate_signal_search, estimate_sns)
 from .noise import NoiseFit, estimate_noise_and_spikes, mle_noise, solve_rho
 from .probabilities import (ProbPair, ThresholdContext, pe_rmt, pe_srmt,
-                            signal_threshold, theta_rmt, theta_srmt)
+                            theta_rmt, theta_srmt)
 from .normal import normal_tail_inv
 from .signal_stats import (SignalStat, decision_statistic, interaction_term,
                            kappa_factor, stat_std_dev)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: estimate (signal count from a CSV of eigenvalues or
-snapshots), simulate / sweep (Monte Carlo misdetection runs), tw
+snapshots), sweep (Monte Carlo misdetection runs; simulate is an alias), tw
 (Tracy-Widom CDF / quantile queries), trace (decision-trace dump for one
 sequential estimator).
 
@@ -192,22 +192,21 @@ def build_parser() -> _Parser:
     trace.add_argument("--out", default=None, help="trace CSV path (default: stdout)")
     trace.set_defaults(func=_cmd_trace)
 
-    for name, help_text in (("simulate", "run a single-point scenario"),
-                            ("sweep", "run a Monte Carlo sweep")):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("scenario", nargs="?", default=None,
-                         help="scenario file (key=value lines)")
-        cmd.add_argument("--preset", choices=PRESET_NAMES, default=None)
-        cmd.add_argument("--full-scale", action="store_true",
-                         help="full trial budget and sweep grid for presets")
-        cmd.add_argument("--trials", type=int, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--methods", default=None,
-                         help="comma-separated method subset")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the trial loop")
-        cmd.add_argument("--out", default=None, help="result CSV path")
-        cmd.set_defaults(func=_cmd_sweep)
+    sweep = sub.add_parser("sweep", aliases=["simulate"],
+                           help="run a Monte Carlo sweep")
+    sweep.add_argument("scenario", nargs="?", default=None,
+                       help="scenario file (key=value lines)")
+    sweep.add_argument("--preset", choices=PRESET_NAMES, default=None)
+    sweep.add_argument("--full-scale", action="store_true",
+                       help="full trial budget and sweep grid for presets")
+    sweep.add_argument("--trials", type=int, default=None)
+    sweep.add_argument("--seed", type=int, default=None)
+    sweep.add_argument("--methods", default=None,
+                       help="comma-separated method subset")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the trial loop")
+    sweep.add_argument("--out", default=None, help="result CSV path")
+    sweep.set_defaults(func=_cmd_sweep)
 
     tw = sub.add_parser("tw", help="Tracy-Widom CDF / quantile values")
     tw.add_argument("--alpha", type=float, default=None,

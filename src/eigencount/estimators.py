@@ -20,13 +20,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EigencountError, InvalidInputError, SolverError
+from .errors import InvalidInputError
 from .noise import NoiseFit, estimate_noise_and_spikes
-from .probabilities import (ThresholdContext, _s_alpha, _z_threshold, pe_rmt,
-                            pe_srmt, theta_rmt, theta_srmt)
-from .signal_stats import decision_statistic
+from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
+                            pe_rmt, pe_srmt, theta_rmt, theta_srmt)
+from .signal_stats import SignalStat, decision_statistic
 from .spectral import Spectrum
-from .tracy_widom import centering_mu, scaling_sigma
 
 LOG_CLAMP = -700.0
 
@@ -185,186 +184,133 @@ def estimate_mdl(spectrum: Spectrum, config: EstimatorConfig | None = None) -> M
     return _criterion_argmin("mdl", 1.0, terms, penalty, degenerate)
 
 
-def estimate_modified_aic(spectrum: Spectrum, c: float | None = None,
+def estimate_modified_aic(spectrum: Spectrum,
                           config: EstimatorConfig | None = None) -> ModelOrderEstimate:
     config = config or EstimatorConfig()
-    if c is None:
-        c = config.modified_aic_c
     terms, degenerate = _likelihood_terms(spectrum)
     k = np.arange(terms.size)
-    penalty = 2.0 * c * _dof(k, spectrum.p, config.real_dof)
+    penalty = 2.0 * config.modified_aic_c * _dof(k, spectrum.p, config.real_dof)
     return _criterion_argmin("maic", 2.0, terms, penalty, degenerate)
 
 
-def _rmt_threshold(fit: NoiseFit, alpha: float, beta: int) -> float:
-    m = fit.p - fit.k
-    return fit.sigma2_hat * (centering_mu(fit.n, m)
-                             + _s_alpha(alpha, beta) * scaling_sigma(fit.n, m))
+def _stat_columns(stat: SignalStat) -> dict:
+    return {"v_k": stat.v, "kappa_k": stat.kappa, "delta_k": stat.delta,
+            "delta_valid": stat.delta_valid}
 
 
-def estimate_rmt(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
-    """Sequential Tracy-Widom test: stop at the first sub-threshold l_k."""
-    config = config or EstimatorConfig()
-    trace = DecisionTrace(method="rmt")
-    kmax = min(spectrum.p, spectrum.n) - 1
-    q_hat = kmax
-    for k in range(1, kmax + 1):
-        fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
-                                        config.solver_max_iter)
-        threshold = _rmt_threshold(fit, config.alpha, config.beta)
-        l_k = float(spectrum.eigenvalues[k - 1])
-        accepted = l_k > threshold
-        trace.rows.append(TraceRow(
-            k=k, l_k=l_k, criterion="rmt", accepted=accepted,
-            sigma2_hat=fit.sigma2_hat, lambda_hat=tuple(fit.lambda_hat),
-            theta_rmt=threshold, degenerate=fit.any_degenerate))
-        if not accepted:
-            q_hat = k - 1
-            break
-    return ModelOrderEstimate(q_hat=q_hat, method="rmt", trace=trace)
+def _always(criterion: str):
+    """The policy that applies one test at every step."""
+    return lambda spectrum, fit, config: (criterion, {})
 
 
-def _signal_search_step(spectrum: Spectrum, fit: NoiseFit, k: int,
-                        config: EstimatorConfig):
-    """Evaluate the signal-search test at step k; returns (accepted, stat, thr).
-
-    A non-positive estimated strength cannot be a signal and has no defined
-    statistic; it is rejected outright.
-    """
-    if float(fit.lambda_hat[k - 1]) <= 0.0:
-        return False, None, None
-    stat = decision_statistic(k, spectrum, fit, config.beta)
-    threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta, config.alpha0)
-    return stat.z > threshold, stat, threshold
-
-
-def estimate_signal_search(spectrum: Spectrum,
-                           config: EstimatorConfig | None = None) -> ModelOrderEstimate:
-    """Sequential detection-limit test on the corrected statistic z_k."""
-    config = config or EstimatorConfig()
-    trace = DecisionTrace(method="srmt")
-    kmax = min(spectrum.p, spectrum.n) - 1
-    q_hat = kmax
-    for k in range(1, kmax + 1):
-        fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
-                                        config.solver_max_iter)
-        accepted, stat, threshold = _signal_search_step(spectrum, fit, k, config)
-        trace.rows.append(TraceRow(
-            k=k, l_k=float(spectrum.eigenvalues[k - 1]), criterion="srmt",
-            accepted=accepted, sigma2_hat=fit.sigma2_hat,
-            lambda_hat=tuple(fit.lambda_hat),
-            v_k=stat.v if stat else None, kappa_k=stat.kappa if stat else None,
-            delta_k=stat.delta if stat else None,
-            delta_valid=stat.delta_valid if stat else None,
-            z_k=stat.z if stat else None, z_threshold=threshold,
-            degenerate=fit.any_degenerate or stat is None))
-        if not accepted:
-            q_hat = k - 1
-            break
-    return ModelOrderEstimate(q_hat=q_hat, method="srmt", trace=trace)
-
-
-def estimate_sns(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
-    """Adaptive scan: per step, pick the test whose misdetection score wins.
+def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
+    """The sns policy: pick the test whose misdetection score wins.
 
     Step 1 compares the four signal-assumption scores; if either plain score
     beats its interacted counterpart the eigenvalue is treated as noise and
     the TW test applies.  Otherwise step 2 compares the noise-assumption
     scores, with the comparison orientation depending on whether gamma < 1.
     """
-    config = config or EstimatorConfig()
-    trace = DecisionTrace(method="sns")
-    kmax = min(spectrum.p, spectrum.n) - 1
-    gamma = spectrum.gamma
-    q_hat = kmax
-    fit_km1 = estimate_noise_and_spikes(spectrum, 0, config.solver_tol,
+    k = fit.k
+    if float(fit.lambda_hat[k - 1]) <= 0.0:
+        # No usable strength estimate: the scores are undefined, fall back
+        # to the TW test and flag the step.
+        return "rmt", {"degenerate": True}
+    fit_km1 = estimate_noise_and_spikes(spectrum, k - 1, config.solver_tol,
                                         config.solver_max_iter)
+    ctx = ThresholdContext(k=k, fit_k=fit, fit_km1=fit_km1, spectrum=spectrum,
+                           gamma=spectrum.gamma, alpha=config.alpha,
+                           alpha0=config.alpha0, beta=config.beta)
+    row = {
+        "pe_srmt_plain": pe_srmt(ctx, with_interaction=False).p_total,
+        "pe_rmt_inter": pe_rmt(ctx, with_interaction=True).p_total,
+        "pe_rmt_plain": pe_rmt(ctx, with_interaction=False).p_total,
+        "pe_srmt_inter": pe_srmt(ctx, with_interaction=True).p_total,
+        "theta_rmt": theta_rmt(ctx, assume_signal=True),
+        "theta_srmt": theta_srmt(ctx),
+        **_stat_columns(ctx.stat),
+    }
+    if (row["pe_srmt_plain"] > row["pe_rmt_inter"]
+            or row["pe_rmt_plain"] > row["pe_srmt_inter"]):
+        return "rmt", row
+    row.update(
+        pbar_rmt_inter=pe_rmt(ctx, with_interaction=True, assume_signal=False).p_total,
+        pbar_rmt_plain=pe_rmt(ctx, with_interaction=False, assume_signal=False).p_total,
+        pbar_srmt_inter=pe_srmt(ctx, with_interaction=True, assume_signal=False).p_total,
+        pbar_srmt_plain=pe_srmt(ctx, with_interaction=False, assume_signal=False).p_total,
+        theta_rmt_noise=theta_rmt(ctx, assume_signal=False))
+    if spectrum.gamma < 1.0:
+        pick_srmt = row["pbar_rmt_inter"] > row["pbar_srmt_plain"]
+    else:
+        pick_srmt = row["pbar_srmt_inter"] > row["pbar_rmt_plain"]
+    return ("srmt" if pick_srmt else "rmt"), row
+
+
+def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
+          choose) -> ModelOrderEstimate:
+    """The sequential scan shared by rmt, srmt and sns.
+
+    At each k = 1, 2, ... the policy choose(spectrum, fit_k, config) names
+    the test for l_k and returns extra trace columns; the scan stops at the
+    first rejection, so q_hat = k - 1, or min(p, n) - 1 if nothing rejects.
+
+    * rmt:  l_k > the TW threshold at false-alarm alpha;
+    * srmt: z_k > the signal-search threshold at detection probability
+      alpha0.  A non-positive estimated strength cannot be a signal and has
+      no defined statistic; it is rejected outright and flagged.
+
+    The estimate is degenerate if any step's fit or test was.
+    """
+    trace = DecisionTrace(method=method)
+    kmax = min(spectrum.p, spectrum.n) - 1
+    q_hat = kmax
     for k in range(1, kmax + 1):
-        try:
-            fit, criterion, accepted, row = _sns_step(spectrum, k, fit_km1, config,
-                                                      gamma)
-        except InvalidInputError:
-            # A bad input is the same error whichever estimator meets it.
-            raise
-        except EigencountError as exc:
-            raise SolverError(f"adaptive scan failed at k={k}: {exc}") from exc
-        trace.rows.append(TraceRow(criterion=criterion, accepted=accepted, **row))
+        fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
+                                        config.solver_max_iter)
+        criterion, extra = choose(spectrum, fit, config)
+        l_k = float(spectrum.eigenvalues[k - 1])
+        row = {"sigma2_hat": fit.sigma2_hat, "lambda_hat": tuple(fit.lambda_hat),
+               "degenerate": fit.any_degenerate, **extra}
+        if criterion == "rmt":
+            row["theta_rmt"] = _tw_threshold(fit, config.alpha, config.beta)
+            accepted = l_k > row["theta_rmt"]
+        elif float(fit.lambda_hat[k - 1]) <= 0.0:
+            accepted, row["degenerate"] = False, True
+        else:
+            stat = decision_statistic(k, spectrum, fit, config.beta)
+            threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta,
+                                     config.alpha0)
+            accepted = stat.z > threshold
+            row.update(_stat_columns(stat), z_k=stat.z, z_threshold=threshold)
+        trace.rows.append(TraceRow(k=k, l_k=l_k, criterion=criterion,
+                                   accepted=accepted, **row))
         if not accepted:
             q_hat = k - 1
             break
-        fit_km1 = fit
-    return ModelOrderEstimate(q_hat=q_hat, method="sns", trace=trace)
+    return ModelOrderEstimate(q_hat=q_hat, method=method, trace=trace,
+                              degenerate=any(r.degenerate for r in trace.rows))
 
 
-def _sns_step(spectrum: Spectrum, k: int, fit_km1: NoiseFit,
-              config: EstimatorConfig, gamma: float):
-    """One adaptive step: fit, criterion selection, chosen test applied."""
-    fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
-                                    config.solver_max_iter)
-    l_k = float(spectrum.eigenvalues[k - 1])
-    row = {"k": k, "l_k": l_k, "sigma2_hat": fit.sigma2_hat,
-           "lambda_hat": tuple(fit.lambda_hat),
-           "degenerate": fit.any_degenerate}
+def estimate_rmt(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
+    """Sequential Tracy-Widom test: stop at the first sub-threshold l_k."""
+    return _scan(spectrum, config or EstimatorConfig(), "rmt", _always("rmt"))
 
-    if float(fit.lambda_hat[k - 1]) <= 0.0:
-        # No usable strength estimate: the signal-search scores are
-        # undefined, fall back to the TW criterion.
-        criterion = "rmt"
-        row["degenerate"] = True
-    else:
-        ctx = ThresholdContext(k=k, fit_k=fit, fit_km1=fit_km1,
-                               spectrum=spectrum, gamma=gamma,
-                               alpha=config.alpha, alpha0=config.alpha0,
-                               beta=config.beta)
-        step1 = {
-            "pe_srmt_plain": pe_srmt(ctx, with_interaction=False),
-            "pe_rmt_inter": pe_rmt(ctx, with_interaction=True),
-            "pe_rmt_plain": pe_rmt(ctx, with_interaction=False),
-            "pe_srmt_inter": pe_srmt(ctx, with_interaction=True),
-        }
-        row.update({name: pair.p_total for name, pair in step1.items()})
-        row.update(v_k=ctx.v_k, kappa_k=ctx.kappa_k, delta_k=ctx.delta_k,
-                   delta_valid=ctx.delta_valid,
-                   theta_rmt=theta_rmt(ctx, assume_signal=True),
-                   theta_srmt=theta_srmt(ctx))
-        if (step1["pe_srmt_plain"].p_total > step1["pe_rmt_inter"].p_total
-                or step1["pe_rmt_plain"].p_total > step1["pe_srmt_inter"].p_total):
-            criterion = "rmt"
-        else:
-            step2 = {
-                "pbar_rmt_inter": pe_rmt(ctx, with_interaction=True,
-                                         assume_signal=False),
-                "pbar_rmt_plain": pe_rmt(ctx, with_interaction=False,
-                                         assume_signal=False),
-                "pbar_srmt_inter": pe_srmt(ctx, with_interaction=True,
-                                           assume_signal=False),
-                "pbar_srmt_plain": pe_srmt(ctx, with_interaction=False,
-                                           assume_signal=False),
-            }
-            row.update({name: pair.p_total for name, pair in step2.items()})
-            row.update(theta_rmt_noise=theta_rmt(ctx, assume_signal=False))
-            if gamma < 1.0:
-                pick_srmt = (step2["pbar_rmt_inter"].p_total
-                             > step2["pbar_srmt_plain"].p_total)
-            else:
-                pick_srmt = (step2["pbar_srmt_inter"].p_total
-                             > step2["pbar_rmt_plain"].p_total)
-            criterion = "srmt" if pick_srmt else "rmt"
 
-    if criterion == "rmt":
-        threshold = _rmt_threshold(fit, config.alpha, config.beta)
-        accepted = l_k > threshold
-        row.update(theta_rmt=threshold)
-    else:
-        accepted, stat, threshold = _signal_search_step(spectrum, fit, k, config)
-        row.update(z_k=stat.z if stat else None, z_threshold=threshold)
-    return fit, criterion, accepted, row
+def estimate_signal_search(spectrum: Spectrum,
+                           config: EstimatorConfig | None = None) -> ModelOrderEstimate:
+    """Sequential detection-limit test on the corrected statistic z_k."""
+    return _scan(spectrum, config or EstimatorConfig(), "srmt", _always("srmt"))
+
+
+def estimate_sns(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
+    """Adaptive scan: per step, the test whose misdetection score wins."""
+    return _scan(spectrum, config or EstimatorConfig(), "sns", _adaptive)
 
 
 ESTIMATORS = {
-    "aic": lambda spectrum, config=None: estimate_aic(spectrum, config),
-    "mdl": lambda spectrum, config=None: estimate_mdl(spectrum, config),
-    "maic": lambda spectrum, config=None: estimate_modified_aic(spectrum, config=config),
+    "aic": estimate_aic,
+    "mdl": estimate_mdl,
+    "maic": estimate_modified_aic,
     "rmt": estimate_rmt,
     "srmt": estimate_signal_search,
     "sns": estimate_sns,

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from .errors import InvalidInputError
 from .noise import NoiseFit
 from .normal import norm_cdf, normal_tail_inv
-from .signal_stats import interaction_term, kappa_factor, stat_std_dev
+from .signal_stats import SignalStat, decision_statistic
 from .spectral import Spectrum
 from .tracy_widom import centering_mu, scaling_sigma, tw_cdf, tw_quantile
 
@@ -33,22 +33,25 @@ def _q_inv(alpha0: float) -> float:
 
 
 def _z_threshold(sigma2: float, gamma: float, delta: float, alpha0: float) -> float:
-    """The signal-search threshold on z: sigma2 sqrt(gamma) - delta Q^{-1}(alpha0)."""
-    return sigma2 * math.sqrt(gamma) - delta * _q_inv(alpha0)
-
-
-def signal_threshold(fit: NoiseFit, i: int, gamma: float, alpha0: float,
-                     beta: int = 1) -> float:
-    """Detection-limit threshold for z: sigma2 sqrt(gamma) - delta Q^{-1}(alpha0).
+    """The signal-search threshold on z: sigma2 sqrt(gamma) - delta Q^{-1}(alpha0).
 
     Q^{-1} is the upper-tail inverse, so for alpha0 > 0.5 the threshold sits
     above the raw detection limit by |Q^{-1}(alpha0)| standard deviations.
     """
-    if not 0.0 < alpha0 < 1.0:
-        raise InvalidInputError(f"alpha0 must lie in (0, 1), got {alpha0}")
-    lam_i = float(fit.lambda_hat[i - 1])
-    delta, _ = stat_std_dev(lam_i, fit.sigma2_hat, fit.p, fit.k, fit.n, beta)
-    return _z_threshold(fit.sigma2_hat, gamma, delta, alpha0)
+    return sigma2 * math.sqrt(gamma) - delta * _q_inv(alpha0)
+
+
+def _tw_edge(fit: NoiseFit) -> tuple[float, float, float]:
+    """(noise level, TW centering, TW scaling) of the p - k noise eigenvalues
+    that the fit's hypothesis k leaves."""
+    m = fit.p - fit.k
+    return fit.sigma2_hat, centering_mu(fit.n, m), scaling_sigma(fit.n, m)
+
+
+def _tw_threshold(fit: NoiseFit, alpha: float, beta: int) -> float:
+    """The TW threshold sigma2 (mu + s(alpha) sc) at the fit's noise edge."""
+    sigma2, mu, sc = _tw_edge(fit)
+    return sigma2 * (mu + _s_alpha(alpha, beta) * sc)
 
 
 @dataclass(frozen=True)
@@ -87,49 +90,36 @@ class ThresholdContext:
         if float(self.fit_k.lambda_hat[self.k - 1]) <= 0.0:
             raise InvalidInputError("tested strength must be positive")
 
+    @cached_property
+    def stat(self) -> SignalStat:
+        """The signal-search statistic z_k and its ingredients."""
+        return decision_statistic(self.k, self.spectrum, self.fit_k, self.beta)
+
     @property
-    def lambda_k(self) -> float:
-        return float(self.fit_k.lambda_hat[self.k - 1])
-
-    @cached_property
     def v_k(self) -> float:
-        return interaction_term(self.k, self.fit_k.lambda_hat,
-                                self.fit_k.sigma2_hat, self.spectrum.n)
+        return self.stat.v
 
-    @cached_property
+    @property
     def kappa_k(self) -> float:
-        return kappa_factor(self.lambda_k, self.fit_k.sigma2_hat,
-                            self.spectrum.p, self.k, self.spectrum.n)
-
-    @cached_property
-    def _delta(self) -> tuple[float, bool]:
-        return stat_std_dev(self.lambda_k, self.fit_k.sigma2_hat,
-                            self.spectrum.p, self.k, self.spectrum.n, self.beta)
+        return self.stat.kappa
 
     @property
     def delta_k(self) -> float:
-        return self._delta[0]
+        return self.stat.delta
 
     @property
     def delta_valid(self) -> bool:
-        return self._delta[1]
+        return self.stat.delta_valid
 
-    def _edge(self, assume_signal: bool) -> tuple[float, float, float]:
-        """(noise level, centering, scaling) for the TW argument of the
-        requested variant: hypothesis-k quantities under the signal
-        assumption, hypothesis-(k-1) quantities under the noise one."""
-        n, p = self.spectrum.n, self.spectrum.p
-        if assume_signal:
-            return self.fit_k.sigma2_hat, centering_mu(n, p - self.k), \
-                scaling_sigma(n, p - self.k)
-        return self.fit_km1.sigma2_hat, centering_mu(n, p - self.k + 1), \
-            scaling_sigma(n, p - self.k + 1)
+    def _fit(self, assume_signal: bool) -> NoiseFit:
+        """The fit whose noise edge the requested variant uses: hypothesis k
+        under the signal assumption, hypothesis k-1 under the noise one."""
+        return self.fit_k if assume_signal else self.fit_km1
 
 
 def theta_rmt(ctx: ThresholdContext, assume_signal: bool = True) -> float:
     """Tracy-Widom threshold on l_k for the noise-eigenvalue test."""
-    sigma2, mu, sc = ctx._edge(assume_signal)
-    return sigma2 * (mu + _s_alpha(ctx.alpha, ctx.beta) * sc)
+    return _tw_threshold(ctx._fit(assume_signal), ctx.alpha, ctx.beta)
 
 
 def theta_srmt(ctx: ThresholdContext) -> float:
@@ -153,7 +143,7 @@ def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
         p_miss, saturated = norm_cdf(arg), False
 
     if with_interaction:
-        sigma2, _, sc = ctx._edge(assume_signal)
+        sigma2, _, sc = _tw_edge(ctx._fit(assume_signal))
         p_false = 1.0 - tw_cdf(_s_alpha(ctx.alpha, ctx.beta) - ctx.v_k / (sigma2 * sc),
                                ctx.beta)
     else:
@@ -177,6 +167,6 @@ def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
 
     theta = theta_srmt(ctx)
     v = ctx.v_k if with_interaction else 0.0
-    sigma2, mu, sc = ctx._edge(assume_signal)
+    sigma2, mu, sc = _tw_edge(ctx._fit(assume_signal))
     p_false = 1.0 - tw_cdf(((theta + v) / sigma2 - mu) / sc, ctx.beta)
     return ProbPair(p_miss=p_miss, p_false=p_false, saturated=saturated)

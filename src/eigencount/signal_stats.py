@@ -6,6 +6,7 @@ probabilities.py."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ TIE_CLAMP_SCALE = 1e-6
 # Floor for the variance radicand once a strength falls below the
 # fluctuation threshold; the delta_valid flag records the clamp.
 RADICAND_FLOOR = 1e-12
+# Values whose squares are normal floats.  Outside this range a square would
+# overflow (raising OverflowError) or lose precision down to zero, so the
+# variance ratio is formed from sigma2 / lambda instead.
+SQUARE_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,12 @@ def stat_std_dev(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int,
     clamped to RADICAND_FLOOR and the flag is False.
     """
     kappa = kappa_factor(lambda_hat_i, sigma2, p, q, n)
-    radicand = 1.0 - (p - q) / n * sigma2**2 / lambda_hat_i**2
+    lo, hi = SQUARE_RANGE
+    if lo < lambda_hat_i < hi and lo < sigma2 < hi:
+        radicand = 1.0 - (p - q) / n * sigma2**2 / lambda_hat_i**2
+    else:
+        ratio = sigma2 / lambda_hat_i
+        radicand = 1.0 - (p - q) / n * (ratio * ratio)
     valid = radicand > 0.0
     if not valid:
         radicand = RADICAND_FLOOR

@@ -147,7 +147,7 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
-def eig_sym_desc(matrix: np.ndarray, n: int, return_vectors: bool = False):
+def eig_sym_desc(matrix: np.ndarray, n: int) -> Spectrum:
     """Eigenvalues of a symmetric matrix, descending, as a Spectrum.
 
     The input must be symmetric to within SYMMETRY_RTOL (relative, max-norm);
@@ -162,16 +162,10 @@ def eig_sym_desc(matrix: np.ndarray, n: int, return_vectors: bool = False):
         raise InvalidInputError("matrix is not symmetric within tolerance")
     sym = (m + m.T) / 2.0
     try:
-        if return_vectors:
-            w, v = np.linalg.eigh(sym)
-        else:
-            w = np.linalg.eigvalsh(sym)
+        w = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigendecomposition failed: {exc}") from exc
-    spectrum = Spectrum(w[::-1].copy(), m.shape[0], n)
-    if return_vectors:
-        return spectrum, v[:, ::-1].copy()
-    return spectrum
+    return Spectrum(w[::-1].copy(), m.shape[0], n)
 
 
 def detection_limit(sigma2: float, gamma: float) -> float:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eigencount as ec
 from eigencount.errors import InvalidInputError
@@ -42,7 +43,8 @@ class TestInformationCriteria:
         aic_scores = criterion_table(values, n, lambda k, p: 2.0 * k * (2 * p - k))
         assert ec.estimate_aic(spectrum).q_hat == int(np.argmin(aic_scores))
         maic_scores = criterion_table(values, n, lambda k, p: 4.0 * k * (2 * p - k))
-        assert ec.estimate_modified_aic(spectrum, c=2.0).q_hat == int(np.argmin(maic_scores))
+        maic = ec.estimate_modified_aic(spectrum, ec.EstimatorConfig(modified_aic_c=2.0))
+        assert maic.q_hat == int(np.argmin(maic_scores))
         # MDL keeps the classical single-likelihood form
         mdl_scores = criterion_table(values, n, lambda k, p: k * (2 * p - k) * math.log(n)) / 2.0
         assert ec.estimate_mdl(spectrum).q_hat == int(np.argmin(mdl_scores))
@@ -57,16 +59,18 @@ class TestInformationCriteria:
 
     def test_modified_aic_with_unit_constant_is_aic(self):
         rng = np.random.RandomState(32)
+        config = ec.EstimatorConfig(modified_aic_c=1.0)
         for _ in range(100):
             spectrum = random_spectrum(rng, p=8, n=20)
-            assert ec.estimate_modified_aic(spectrum, c=1.0).q_hat == \
+            assert ec.estimate_modified_aic(spectrum, config).q_hat == \
                 ec.estimate_aic(spectrum).q_hat
 
     def test_huge_penalty_forces_zero(self):
         rng = np.random.RandomState(33)
+        config = ec.EstimatorConfig(modified_aic_c=1e9)
         for _ in range(10):
             spectrum = random_spectrum(rng)
-            assert ec.estimate_modified_aic(spectrum, c=1e9).q_hat == 0
+            assert ec.estimate_modified_aic(spectrum, config).q_hat == 0
 
     def test_scale_invariance(self):
         rng = np.random.RandomState(34)
@@ -248,6 +252,95 @@ class TestCommonProperties:
             ec.EstimatorConfig(alpha0=0.4)
         with pytest.raises(InvalidInputError):
             ec.EstimatorConfig(beta=3)
+
+
+class TestSequentialDegenerateFlag:
+    SCANS = (ec.estimate_rmt, ec.estimate_signal_search, ec.estimate_sns)
+
+    def test_flag_set_when_a_step_is_degenerate(self):
+        # At k = 2 the fitted strength of l_2 is non-positive: srmt rejects
+        # it unscored, sns falls back to the TW test, and rmt's fit flags a
+        # clamped root.
+        spectrum = spectrum_from_values([6.92, 1.11, 1.03], 39)
+        for scan in self.SCANS:
+            result = scan(spectrum)
+            assert result.trace.rows[-1].degenerate
+            assert result.degenerate
+
+    def test_non_positive_strength_flagged_without_a_clamped_root(self):
+        # p >> n: the k = 1 fit clamps no root, yet its strength is not
+        # positive, so srmt rejects unscored and sns falls back to TW.
+        spectrum = spectrum_from_values([4.4, 4.26, 4.16, 4.11, 3.81, 3.43, 3.31,
+                                         2.42, 2.17, 2.0, 0.77, 0.56], 2)
+        fit = ec.estimate_noise_and_spikes(spectrum, 1)
+        assert not fit.any_degenerate and fit.lambda_hat[0] <= 0.0
+        for scan, criterion in ((ec.estimate_signal_search, "srmt"), (ec.estimate_sns, "rmt")):
+            result = scan(spectrum)
+            (row,) = result.trace.rows
+            assert (row.criterion, row.accepted, row.degenerate) == (criterion, False, True)
+            assert row.z_k is None and row.pe_srmt_plain is None
+            assert result.degenerate
+
+    def test_flag_clear_on_a_clean_scan(self):
+        # Every scan accepts both steps with unclamped roots.
+        spectrum = spectrum_from_values([3.14, 1.37, 0.35], 39)
+        for scan in self.SCANS:
+            result = scan(spectrum)
+            assert not any(row.degenerate for row in result.trace.rows)
+            assert not result.degenerate
+
+
+# Eigenvalue draws for the scan properties: spreads, ties, exact zeros and a
+# 1e+-12 dynamic range.
+EIGENVALUES = st.one_of(st.floats(0.0, 20.0), st.floats(1e-12, 1e12),
+                        st.sampled_from((0.0, 1.0, 2.0)))
+
+
+@st.composite
+def scan_spectra(draw):
+    values = draw(st.lists(EIGENVALUES, min_size=2, max_size=12))
+    return spectrum_from_values(values, draw(st.integers(1, 40)))
+
+
+class TestScanProperties:
+    """Invariants of the sequential scan shared by rmt, srmt and sns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spectrum=scan_spectra())
+    def test_trace_shape_and_q_hat(self, spectrum):
+        kmax = min(spectrum.p, spectrum.n) - 1
+        for method in ("rmt", "srmt", "sns"):
+            try:
+                result = ec.estimate(spectrum, method)
+            except ec.EigencountError:
+                continue  # only the package's typed errors may escape
+            rows = result.trace.rows
+            assert [row.k for row in rows] == list(range(1, len(rows) + 1))
+            assert result.q_hat == sum(row.accepted for row in rows)
+            assert 0 <= result.q_hat <= kmax
+            if result.q_hat < kmax:
+                assert not rows[-1].accepted
+            else:
+                assert len(rows) == kmax
+            assert result.degenerate == any(row.degenerate for row in rows)
+            expected = {"sns": {"rmt", "srmt"}}.get(method, {method})
+            assert {row.criterion for row in rows} <= expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(spectrum=scan_spectra())
+    def test_rmt_monotone_in_alpha(self, spectrum):
+        # A larger alpha lowers every TW threshold, so the scan accepts at
+        # least as long; a scan that fails, fails at a step that every
+        # larger alpha also reaches.
+        q_hats = []
+        for alpha in (0.001, 0.005, 0.05, 0.2, 0.6):
+            try:
+                q_hats.append(ec.estimate_rmt(spectrum, ec.EstimatorConfig(alpha=alpha)).q_hat)
+            except ec.EigencountError:
+                q_hats.append(None)
+        reached = [q for q in q_hats if q is not None]
+        assert q_hats[:len(reached)] == reached
+        assert reached == sorted(reached)
 
 
 def reference_likelihood_terms(spectrum):

@@ -2,9 +2,11 @@
 
 Pins the sha256 of every estimator's q_hat and of the rmt / srmt / sns trace
 CSVs on a fixed set of spectra: the fig4, fig7 and fig11 desk points with
-four trials each, plus one rank-deficient geometry (p = 20, n = 10).  A
-change that is meant to keep the arithmetic identical (caching, fast paths,
-refactors of the scan loops) must leave every hash as it is.
+four trials each, one rank-deficient geometry (p = 20, n = 10), and an
+"edge" set of spectra that drive the scans through their rare branches (see
+test_edge_case_reaches_rare_branches).  A change that is meant to keep the
+arithmetic identical (caching, fast paths, refactors of the scan loops) must
+leave every hash as it is.
 """
 
 import hashlib
@@ -15,14 +17,30 @@ import pytest
 from eigencount.estimators import ESTIMATORS, METHOD_ORDER, EstimatorConfig
 from eigencount.simulation import (ScenarioSpec, generate_snapshots,
                                    preset_scenario, trial_rng)
-from eigencount.spectral import eig_sym_desc, sample_covariance
+from eigencount.spectral import Spectrum, eig_sym_desc, sample_covariance
 
 TRIALS = 4
 BASE_SEED = 20140519
 SCAN_METHODS = ("rmt", "srmt", "sns")
+# Hand-picked spectra, each reaching a scan branch the seeded cases miss:
+# the sns fallback to TW and the srmt reject on a non-positive strength
+# (first), sns and srmt scans running to full depth (second and third).
+EDGE_SPECTRA = (([6.92, 1.11, 1.03], 39), ([1.28, 0.25, 0.05], 20),
+                ([3.14, 1.37, 0.35], 39))
+# (p, n, trial) draws of a three-spike scenario whose sns scan rejects at a
+# step-2 choice: srmt with gamma >= 1 (first), rmt with gamma < 1 (second).
+EDGE_DRAWS = ((30, 20, 16), (40, 80, 13))
 
 
 def _cases(name):
+    if name == "edge":
+        for values, n in EDGE_SPECTRA:
+            yield Spectrum.from_values(values, n)
+        spec = ScenarioSpec(lambdas=(2.0, 1.8, 1.6), base_seed=BASE_SEED)
+        for p, n, idx in EDGE_DRAWS:
+            snapshots = generate_snapshots(spec.model(p), n, trial_rng(spec.base_seed, idx))
+            yield eig_sym_desc(sample_covariance(snapshots.data), n)
+        return
     if name == "rank-deficient":
         spec = ScenarioSpec(lambdas=(9.0, 6.0, 4.0, 3.0, 2.5), p=20, n=10,
                             trials=TRIALS, base_seed=BASE_SEED)
@@ -55,6 +73,8 @@ GOLDEN = {
               "0c3dcc87d4946bd3ed6b3286321752055a31f43c31bfe820de1152a5840f86ae"),
     "rank-deficient": ("c6bcc67a98b48ef28f56cee94d230d07ef7a37ce755d98311ec3cec97c40ef3a",
                        "70b420528b1e50cb5977f7d02389489407f6c627e3a6d09fb192258422be6b26"),
+    "edge": ("d0a386806fd78b8029cc232b85f59911c03374fbc64a24083f66cef1f76d7be9",
+             "6013669b0c30dfe4eb2728ae19ef5820dd07aafa3dccfc21ec42a085d8fd9c90"),
 }
 
 
@@ -69,3 +89,29 @@ def test_rank_deficient_case_is_rank_deficient():
     spectrum = next(_cases("rank-deficient"))
     assert spectrum.p == 20 and spectrum.n == 10
     assert np.count_nonzero(spectrum.eigenvalues > 1e-9) <= 10
+
+
+def test_edge_case_reaches_rare_branches():
+    config = EstimatorConfig()
+    fallback, sns_full, srmt_full, step2_srmt, step2_rmt = (
+        {m: ESTIMATORS[m](spectrum, config) for m in SCAN_METHODS}
+        for spectrum in _cases("edge"))
+
+    # sns: no usable strength at k = 2, so the TW test applies, unscored.
+    row = fallback["sns"].trace.rows[-1]
+    assert (row.k, row.criterion, row.accepted, row.degenerate) == (2, "rmt", False, True)
+    assert row.pe_srmt_plain is None and row.theta_rmt is not None
+    # srmt: a non-positive strength is rejected with no statistic.
+    row = fallback["srmt"].trace.rows[-1]
+    assert (row.k, row.accepted, row.degenerate, row.z_k) == (2, False, True, None)
+
+    assert sns_full["sns"].q_hat == 2 and sns_full["sns"].trace.rows[-1].accepted
+    assert srmt_full["srmt"].q_hat == 2 and srmt_full["srmt"].trace.rows[-1].accepted
+
+    for result, criterion in ((step2_srmt, "srmt"), (step2_rmt, "rmt")):
+        row = result["sns"].trace.rows[-1]
+        assert row.criterion == criterion and not row.accepted
+        assert row.pbar_rmt_inter is not None
+        assert row.k > 1 and result["sns"].q_hat == row.k - 1
+    spectra = list(_cases("edge"))
+    assert spectra[3].gamma >= 1.0 > spectra[4].gamma

@@ -6,7 +6,8 @@ import pytest
 import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.normal import norm_cdf
-from eigencount.probabilities import ProbPair, ThresholdContext, pe_rmt, pe_srmt
+from eigencount.probabilities import (ProbPair, ThresholdContext, _z_threshold, pe_rmt,
+                                      pe_srmt)
 from eigencount.tracy_widom import centering_mu, scaling_sigma, tw_cdf, tw_quantile
 from tests.conftest import sampled_spectrum
 from tests.test_signal_stats import make_fit
@@ -74,7 +75,7 @@ class TestThetaSrmt:
                 continue
             ctx = make_ctx(spectrum, 2)
             stat = ec.decision_statistic(2, spectrum, fit)
-            z_threshold = ec.signal_threshold(fit, 2, spectrum.gamma, 0.995)
+            z_threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta, 0.995)
             lhs = spectrum.eigenvalues[1] - (ec.theta_srmt(ctx) + stat.v)
             rhs = stat.z - z_threshold
             assert lhs == pytest.approx(rhs * stat.kappa, rel=1e-9, abs=1e-12)

@@ -6,6 +6,7 @@ import pytest
 import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.noise import NoiseFit
+from eigencount.probabilities import _z_threshold
 from eigencount.signal_stats import TIE_CLAMP_SCALE
 from tests.conftest import spectrum_from_values
 
@@ -150,26 +151,37 @@ class TestDecisionStatistic:
         assert np.all(np.diff(zs) > 0.0)
 
 
+class TestStatStdDevRange:
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    def test_squares_out_of_float_range(self, scale):
+        """Squares that overflow or underflow to zero give the unit-scale
+        result, scaled, not an arithmetic exception."""
+        for lam, sigma2 in ((5.0, 1.0), (0.3, 1.0)):
+            delta, valid = ec.stat_std_dev(lam * scale, sigma2 * scale, 100, 2, 200)
+            unit_delta, unit_valid = ec.stat_std_dev(lam, sigma2, 100, 2, 200)
+            assert valid == unit_valid
+            assert delta / scale == pytest.approx(unit_delta, rel=1e-12)
+
+    def test_strength_far_below_noise_is_clamped(self):
+        delta, valid = ec.stat_std_dev(1e-300, 1e10, 100, 2, 200)
+        assert not valid and math.isfinite(delta)
+
+
 class TestSignalThreshold:
     def test_alpha0_half_is_detection_limit(self):
-        fit = make_fit([5.0], 1.0, p=60, n=120)
-        threshold = ec.signal_threshold(fit, 1, gamma=0.5, alpha0=0.5)
+        delta, _ = ec.stat_std_dev(5.0, 1.0, 60, 1, 120)
+        threshold = _z_threshold(1.0, 0.5, delta, alpha0=0.5)
         assert threshold == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_hand_composition(self):
-        fit = make_fit([7.0, 5.0], 1.0, p=100, n=200)
         delta, _ = ec.stat_std_dev(5.0, 1.0, 100, 2, 200)
         expected = math.sqrt(0.5) + delta * 2.5758293035489004
-        assert ec.signal_threshold(fit, 2, 0.5, 0.995) == pytest.approx(expected, rel=1e-9)
-        assert ec.signal_threshold(fit, 2, 0.5, 0.995) == pytest.approx(2.10075, abs=1e-4)
+        assert _z_threshold(1.0, 0.5, delta, 0.995) == pytest.approx(expected, rel=1e-9)
+        assert _z_threshold(1.0, 0.5, delta, 0.995) == pytest.approx(2.10075, abs=1e-4)
 
     def test_clamped_delta_recovers_detection_limit(self):
         subcritical = 0.3 * math.sqrt(98.0 / 200.0)
-        fit = make_fit([7.0, subcritical], 1.0, p=100, n=200)
-        threshold = ec.signal_threshold(fit, 2, 0.5, 0.995)
+        delta, valid = ec.stat_std_dev(subcritical, 1.0, 100, 2, 200)
+        assert not valid
+        threshold = _z_threshold(1.0, 0.5, delta, 0.995)
         assert threshold == pytest.approx(ec.detection_limit(1.0, 0.5), abs=1e-5)
-
-    def test_alpha0_validation(self):
-        fit = make_fit([5.0], 1.0, p=60, n=120)
-        with pytest.raises(InvalidInputError):
-            ec.signal_threshold(fit, 1, 0.5, 1.0)

@@ -88,14 +88,6 @@ class TestEigSymDesc:
             assert np.prod(spectrum.eigenvalues) == pytest.approx(
                 cofactor_determinant(m), rel=1e-8)
 
-    def test_reconstruction_residual(self):
-        rng = np.random.RandomState(7)
-        a = rng.randn(10, 30)
-        m = a @ a.T / 30
-        spectrum, vectors = ec.eig_sym_desc(m, n=30, return_vectors=True)
-        recon = vectors @ np.diag(spectrum.eigenvalues) @ vectors.T
-        assert np.linalg.norm(m - recon) <= 1e-9 * np.linalg.norm(m)
-
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
             ec.eig_sym_desc(np.array([[1.0, 2.0], [0.0, 1.0]]), n=4)

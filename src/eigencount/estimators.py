@@ -86,6 +86,16 @@ class TraceRow:
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
+def _trace_row(columns: dict) -> TraceRow:
+    """TraceRow(**columns) without the frozen-dataclass __init__, which sets
+    each of the 24 fields through object.__setattr__.  columns must hold k,
+    l_k, criterion and accepted; a column left out reads its class-level
+    default.  The row is as frozen as any other."""
+    row = object.__new__(TraceRow)
+    row.__dict__.update(columns)
+    return row
+
+
 @dataclass
 class DecisionTrace:
     """Ordered per-k rows from one sequential estimator run."""
@@ -200,7 +210,7 @@ def _stat_columns(stat: SignalStat) -> dict:
 
 def _always(criterion: str):
     """The policy that applies one test at every step."""
-    return lambda spectrum, fit, config: (criterion, {})
+    return lambda spectrum, fit, config: (criterion, {}, None)
 
 
 def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
@@ -215,7 +225,7 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     if float(fit.lambda_hat[k - 1]) <= 0.0:
         # No usable strength estimate: the scores are undefined, fall back
         # to the TW test and flag the step.
-        return "rmt", {"degenerate": True}
+        return "rmt", {"degenerate": True}, None
     fit_km1 = estimate_noise_and_spikes(spectrum, k - 1, config.solver_tol,
                                         config.solver_max_iter)
     ctx = ThresholdContext(k=k, fit_k=fit, fit_km1=fit_km1, spectrum=spectrum,
@@ -232,7 +242,7 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     }
     if (row["pe_srmt_plain"] > row["pe_rmt_inter"]
             or row["pe_rmt_plain"] > row["pe_srmt_inter"]):
-        return "rmt", row
+        return "rmt", row, ctx.stat
     row.update(
         pbar_rmt_inter=pe_rmt(ctx, with_interaction=True, assume_signal=False).p_total,
         pbar_rmt_plain=pe_rmt(ctx, with_interaction=False, assume_signal=False).p_total,
@@ -243,7 +253,7 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
         pick_srmt = row["pbar_rmt_inter"] > row["pbar_srmt_plain"]
     else:
         pick_srmt = row["pbar_srmt_inter"] > row["pbar_rmt_plain"]
-    return ("srmt" if pick_srmt else "rmt"), row
+    return ("srmt" if pick_srmt else "rmt"), row, ctx.stat
 
 
 def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
@@ -251,8 +261,10 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
     """The sequential scan shared by rmt, srmt and sns.
 
     At each k = 1, 2, ... the policy choose(spectrum, fit_k, config) names
-    the test for l_k and returns extra trace columns; the scan stops at the
-    first rejection, so q_hat = k - 1, or min(p, n) - 1 if nothing rejects.
+    the test for l_k and returns extra trace columns, plus the step's
+    decision statistic if it computed one (else None); the scan stops at
+    the first rejection, so q_hat = k - 1, or min(p, n) - 1 if nothing
+    rejects.
 
     * rmt:  l_k > the TW threshold at false-alarm alpha;
     * srmt: z_k > the signal-search threshold at detection probability
@@ -262,28 +274,31 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
     The estimate is degenerate if any step's fit or test was.
     """
     trace = DecisionTrace(method=method)
+    values = spectrum.eigenvalues.tolist()
     kmax = min(spectrum.p, spectrum.n) - 1
     q_hat = kmax
     for k in range(1, kmax + 1):
         fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
                                         config.solver_max_iter)
-        criterion, extra = choose(spectrum, fit, config)
-        l_k = float(spectrum.eigenvalues[k - 1])
-        row = {"sigma2_hat": fit.sigma2_hat, "lambda_hat": tuple(fit.lambda_hat),
+        criterion, extra, stat = choose(spectrum, fit, config)
+        l_k, lambda_hat = values[k - 1], fit.lambda_hat.tolist()
+        row = {"k": k, "l_k": l_k, "criterion": criterion,
+               "sigma2_hat": fit.sigma2_hat, "lambda_hat": tuple(lambda_hat),
                "degenerate": fit.any_degenerate, **extra}
         if criterion == "rmt":
             row["theta_rmt"] = _tw_threshold(fit, config.alpha, config.beta)
             accepted = l_k > row["theta_rmt"]
-        elif float(fit.lambda_hat[k - 1]) <= 0.0:
+        elif lambda_hat[k - 1] <= 0.0:
             accepted, row["degenerate"] = False, True
         else:
-            stat = decision_statistic(k, spectrum, fit, config.beta)
+            if stat is None:
+                stat = decision_statistic(k, spectrum, fit, config.beta)
             threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta,
                                      config.alpha0)
             accepted = stat.z > threshold
             row.update(_stat_columns(stat), z_k=stat.z, z_threshold=threshold)
-        trace.rows.append(TraceRow(k=k, l_k=l_k, criterion=criterion,
-                                   accepted=accepted, **row))
+        row["accepted"] = accepted
+        trace.rows.append(_trace_row(row))
         if not accepted:
             q_hat = k - 1
             break

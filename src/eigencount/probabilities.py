@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import InvalidInputError
 from .noise import NoiseFit
 from .normal import norm_cdf, normal_tail_inv
 from .signal_stats import SignalStat, decision_statistic
 from .spectral import Spectrum
-from .tracy_widom import centering_mu, scaling_sigma, tw_cdf, tw_quantile
+from .tracy_widom import _edge_constants, tw_cdf, tw_quantile
 
 
 @lru_cache(maxsize=64)
@@ -44,8 +44,8 @@ def _z_threshold(sigma2: float, gamma: float, delta: float, alpha0: float) -> fl
 def _tw_edge(fit: NoiseFit) -> tuple[float, float, float]:
     """(noise level, TW centering, TW scaling) of the p - k noise eigenvalues
     that the fit's hypothesis k leaves."""
-    m = fit.p - fit.k
-    return fit.sigma2_hat, centering_mu(fit.n, m), scaling_sigma(fit.n, m)
+    mu, sc = _edge_constants(fit.n, fit.p - fit.k)
+    return fit.sigma2_hat, mu, sc
 
 
 def _tw_threshold(fit: NoiseFit, alpha: float, beta: int) -> float:
@@ -54,7 +54,7 @@ def _tw_threshold(fit: NoiseFit, alpha: float, beta: int) -> float:
     return sigma2 * (mu + _s_alpha(alpha, beta) * sc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbPair:
     """Miss/false probabilities of one test variant at one step."""
 
@@ -62,18 +62,28 @@ class ProbPair:
     p_false: float
     saturated: bool = False
 
-    def __post_init__(self):
-        if not (0.0 <= self.p_miss <= 1.0 and 0.0 <= self.p_false <= 1.0):
+    def __init__(self, p_miss: float, p_false: float, saturated: bool = False):
+        # Sets the fields directly: the frozen-dataclass __init__ routes each
+        # through object.__setattr__, and the scores build several per step.
+        if not (0.0 <= p_miss <= 1.0 and 0.0 <= p_false <= 1.0):
             raise InvalidInputError("probabilities must lie in [0, 1]")
+        self.__dict__.update(p_miss=p_miss, p_false=p_false, saturated=saturated)
 
     @property
     def p_total(self) -> float:
         return self.p_miss + self.p_false
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThresholdContext:
-    """Everything step k of the adaptive scan needs to score both tests."""
+    """Everything step k of the adaptive scan needs to score both tests.
+
+    What the scores read is computed once per context: the signal-search
+    statistic (stat) and theta_srmt at construction, the TW edge and
+    threshold of each hypothesis on first use (_edge), since step 1 of the
+    scan never reads the noise-assumption edge.  The pe_* and theta_*
+    functions only read these.
+    """
 
     k: int
     fit_k: NoiseFit
@@ -84,16 +94,33 @@ class ThresholdContext:
     alpha0: float
     beta: int = 1
 
-    def __post_init__(self):
-        if self.fit_k.k != self.k or self.fit_km1.k != self.k - 1:
+    def __init__(self, k: int, fit_k: NoiseFit, fit_km1: NoiseFit, spectrum: Spectrum,
+                 gamma: float, alpha: float, alpha0: float, beta: int = 1):
+        if fit_k.k != k or fit_km1.k != k - 1:
             raise InvalidInputError("fits do not match the step index")
-        if float(self.fit_k.lambda_hat[self.k - 1]) <= 0.0:
+        if float(fit_k.lambda_hat[k - 1]) <= 0.0:
             raise InvalidInputError("tested strength must be positive")
+        stat = decision_statistic(k, spectrum, fit_k, beta)
+        # The bulk edge (1 + sqrt(gamma)) sigma2 of hypothesis k, and the
+        # threshold on l_k equivalent to the signal-search test on z.
+        bulk_edge = (1.0 + math.sqrt(gamma)) * fit_k.sigma2_hat
+        theta_srmt = (bulk_edge - stat.delta * _q_inv(alpha0)) * stat.kappa
+        # Set directly, as ProbPair does; the context stays frozen.
+        self.__dict__.update(k=k, fit_k=fit_k, fit_km1=fit_km1, spectrum=spectrum,
+                             gamma=gamma, alpha=alpha, alpha0=alpha0, beta=beta,
+                             stat=stat, _bulk_edge=bulk_edge, _theta_srmt=theta_srmt,
+                             _edges=[None, None])
 
-    @cached_property
-    def stat(self) -> SignalStat:
-        """The signal-search statistic z_k and its ingredients."""
-        return decision_statistic(self.k, self.spectrum, self.fit_k, self.beta)
+    def _edge(self, assume_signal: bool) -> tuple[float, float, float, float]:
+        """(sigma2, mu, sc, TW threshold) at the noise edge the requested
+        variant uses: hypothesis k under the signal assumption, hypothesis
+        k-1 under the noise one."""
+        edge = self._edges[assume_signal]
+        if edge is None:
+            fit = self.fit_k if assume_signal else self.fit_km1
+            edge = (*_tw_edge(fit), _tw_threshold(fit, self.alpha, self.beta))
+            self._edges[assume_signal] = edge
+        return edge
 
     @property
     def v_k(self) -> float:
@@ -111,41 +138,35 @@ class ThresholdContext:
     def delta_valid(self) -> bool:
         return self.stat.delta_valid
 
-    def _fit(self, assume_signal: bool) -> NoiseFit:
-        """The fit whose noise edge the requested variant uses: hypothesis k
-        under the signal assumption, hypothesis k-1 under the noise one."""
-        return self.fit_k if assume_signal else self.fit_km1
-
 
 def theta_rmt(ctx: ThresholdContext, assume_signal: bool = True) -> float:
     """Tracy-Widom threshold on l_k for the noise-eigenvalue test."""
-    return _tw_threshold(ctx._fit(assume_signal), ctx.alpha, ctx.beta)
+    return ctx._edge(assume_signal)[3]
 
 
 def theta_srmt(ctx: ThresholdContext) -> float:
     """Threshold on l_k equivalent to the signal-search test on z."""
-    sigma2 = ctx.fit_k.sigma2_hat
-    return (sigma2 * (1.0 + math.sqrt(ctx.gamma))
-            - ctx.delta_k * _q_inv(ctx.alpha0)) * ctx.kappa_k
+    return ctx._theta_srmt
 
 
 def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
            assume_signal: bool = True) -> ProbPair:
     """Misdetection score of the noise-eigenvalue (TW-threshold) test."""
-    theta = theta_rmt(ctx, assume_signal)
-    v = ctx.v_k if with_interaction else 0.0
-    if not ctx.delta_valid:
+    stat = ctx.stat
+    sigma2, _, sc, theta = ctx._edge(assume_signal)
+    v = stat.v if with_interaction else 0.0
+    if not stat.delta_valid:
         # Subcritical strength: the test cannot detect such a spike.
         p_miss, saturated = 1.0, True
     else:
-        arg = -((theta + v) / ctx.kappa_k
-                - (1.0 + math.sqrt(ctx.gamma)) * ctx.fit_k.sigma2_hat) / ctx.delta_k
+        arg = -((theta + v) / stat.kappa - ctx._bulk_edge) / stat.delta
         p_miss, saturated = norm_cdf(arg), False
 
     if with_interaction:
-        sigma2, _, sc = _tw_edge(ctx._fit(assume_signal))
-        p_false = 1.0 - tw_cdf(_s_alpha(ctx.alpha, ctx.beta) - ctx.v_k / (sigma2 * sc),
-                               ctx.beta)
+        edge_scale = sigma2 * sc
+        # A subnormal noise level can take sigma2 * sc down to zero.
+        offset = stat.v / edge_scale if edge_scale else stat.v / sigma2 / sc
+        p_false = 1.0 - tw_cdf(_s_alpha(ctx.alpha, ctx.beta) - offset, ctx.beta)
     else:
         p_false = ctx.alpha
     return ProbPair(p_miss=p_miss, p_false=p_false, saturated=saturated)
@@ -154,19 +175,18 @@ def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
 def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
             assume_signal: bool = True) -> ProbPair:
     """Misdetection score of the signal-search test."""
-    if not ctx.delta_valid:
+    stat = ctx.stat
+    if not stat.delta_valid:
         # Subcritical strength: neither test can detect such a spike, so
         # both miss variants saturate.
         p_miss, saturated = 1.0, True
     elif not with_interaction:
         p_miss, saturated = 1.0 - ctx.alpha0, False
     else:
-        p_miss = norm_cdf(_q_inv(ctx.alpha0)
-                          + ctx.v_k / (ctx.kappa_k * ctx.delta_k))
+        p_miss = norm_cdf(_q_inv(ctx.alpha0) + stat.v / (stat.kappa * stat.delta))
         saturated = False
 
-    theta = theta_srmt(ctx)
-    v = ctx.v_k if with_interaction else 0.0
-    sigma2, mu, sc = _tw_edge(ctx._fit(assume_signal))
-    p_false = 1.0 - tw_cdf(((theta + v) / sigma2 - mu) / sc, ctx.beta)
+    v = stat.v if with_interaction else 0.0
+    sigma2, mu, sc, _ = ctx._edge(assume_signal)
+    p_false = 1.0 - tw_cdf(((ctx._theta_srmt + v) / sigma2 - mu) / sc, ctx.beta)
     return ProbPair(p_miss=p_miss, p_false=p_false, saturated=saturated)

@@ -6,13 +6,12 @@ probabilities.py."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .noise import NoiseFit
+from .noise import FLOAT_MIN, SQUARE_RANGE, NoiseFit
 from .spectral import Spectrum
 
 # Pairwise strength gaps below TIE_CLAMP_SCALE * max(lambda_hat, sigma2) are
@@ -22,13 +21,9 @@ TIE_CLAMP_SCALE = 1e-6
 # Floor for the variance radicand once a strength falls below the
 # fluctuation threshold; the delta_valid flag records the clamp.
 RADICAND_FLOOR = 1e-12
-# Values whose squares are normal floats.  Outside this range a square would
-# overflow (raising OverflowError) or lose precision down to zero, so the
-# variance ratio is formed from sigma2 / lambda instead.
-SQUARE_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignalStat:
     """Decision statistic z and its ingredients for one tested index."""
 
@@ -38,28 +33,48 @@ class SignalStat:
     delta: float
     delta_valid: bool
 
+    def __init__(self, z: float, v: float, kappa: float, delta: float, delta_valid: bool):
+        # Sets the fields directly: the frozen-dataclass __init__ routes each
+        # through object.__setattr__, and every scan step builds one.
+        self.__dict__.update(z=z, v=v, kappa=kappa, delta=delta, delta_valid=delta_valid)
+
 
 def interaction_term(i: int, lambda_hat: np.ndarray, sigma2: float, n: int) -> float:
-    """Pairwise eigenvalue-interaction bias on the i-th (1-based) strength."""
+    """Pairwise eigenvalue-interaction bias on the i-th (1-based) strength.
+
+    The sum runs on Python floats.  For q >= 2 the result is returned as an
+    np.float64, as the array code it replaces did: the statistic z built
+    from it, and the accept flag compared against z, keep that type.
+    """
     lam = np.asarray(lambda_hat, dtype=float)
     q = lam.size
     if not 1 <= i <= q:
         raise InvalidInputError(f"index must lie in 1..{q}, got {i}")
     if q == 1:
         return 0.0
-    lam_i = lam[i - 1]
-    clamp = TIE_CLAMP_SCALE * max(float(lam.max()), sigma2)
+    values = lam.tolist()
+    lam_i = values[i - 1]
+    # The floor keeps the clamp a positive float when every strength and
+    # the noise level sit in the subnormal range.
+    clamp = max(TIE_CLAMP_SCALE * max(max(values), sigma2), FLOAT_MIN)
+    lo, hi = SQUARE_RANGE
+    tested = lam_i + sigma2
     total = 0.0
-    for j in range(q):
+    for j, lam_j in enumerate(values):
         if j == i - 1:
             continue
-        gap = lam_i - lam[j]
+        gap = lam_i - lam_j
         if abs(gap) < clamp:
             # Sign-preserving clamp; an exact tie takes its sign from the
             # descending sort order, so the pair stays antisymmetric.
             gap = -clamp if j < i - 1 else clamp
-        total += (lam[j] + sigma2) * (lam_i + sigma2) / gap
-    return total / n
+        other = lam_j + sigma2
+        if lo < abs(other) < hi and lo < abs(tested) < hi:
+            total += other * tested / gap
+        else:
+            # The product would overflow or underflow: divide first.
+            total += other * (tested / gap)
+    return np.float64(total / n)
 
 
 def kappa_factor(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int) -> float:

@@ -14,6 +14,7 @@ from .errors import DegenerateModelError, InvalidInputError, SolverError
 # [-NEG_CLAMP, 0) is clamped to 0, anything lower is rejected.
 NEG_CLAMP = 1e-10
 SYMMETRY_RTOL = 1e-10
+SORT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,15 @@ class Spectrum:
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
-        if vals.ndim != 1 or vals.size != self.p:
-            raise InvalidInputError("eigenvalues must be a length-p vector")
+        if vals.ndim != 1 or vals.size != self.p or self.p < 1:
+            raise InvalidInputError("eigenvalues must be a non-empty length-p vector")
         if self.n < 1:
             raise InvalidInputError("sample count must be positive")
         if not np.all(np.isfinite(vals)):
             raise InvalidInputError("eigenvalues contain non-finite entries")
-        if np.any(np.diff(vals) > 1e-12 * max(1.0, abs(float(vals[0])))):
+        # Round-off tolerance relative to the largest magnitude, so the
+        # check means the same at every scale.
+        if np.any(np.diff(vals) > SORT_RTOL * float(np.abs(vals).max())):
             raise InvalidInputError("eigenvalues must be sorted in descending order")
         if np.any(vals < -NEG_CLAMP):
             raise InvalidInputError(

@@ -326,6 +326,13 @@ class TestScanProperties:
             expected = {"sns": {"rmt", "srmt"}}.get(method, {method})
             assert {row.criterion for row in rows} <= expected
 
+    def test_subnormal_noise_level(self):
+        # A shrunk example of test_trace_shape_and_q_hat: sigma2 * sc
+        # underflows to zero in the sns scores, which raised ZeroDivisionError.
+        spectrum = spectrum_from_values([1.0, 5e-324], 9)
+        for method in ("rmt", "srmt", "sns"):
+            assert 0 <= ec.estimate(spectrum, method).q_hat <= 1
+
     @settings(max_examples=40, deadline=None)
     @given(spectrum=scan_spectra())
     def test_rmt_monotone_in_alpha(self, spectrum):
@@ -341,6 +348,70 @@ class TestScanProperties:
         reached = [q for q in q_hats if q is not None]
         assert q_hats[:len(reached)] == reached
         assert reached == sorted(reached)
+
+
+# Exact binary scales: every formula of the scans is homogeneous in the
+# eigenvalues, so scaling by 2**j moves no rounding and no decision.  The
+# draws stay clear of subnormals, which a scale would round.
+INVARIANCE_EIGENVALUES = st.one_of(st.floats(1e-12, 1e12), st.floats(0.05, 20.0),
+                                   st.sampled_from((0.0, 1.0, 2.0)))
+
+
+def scan_outcome(spectrum, method, columns=("criterion", "accepted")):
+    """q_hat and the chosen trace columns of one scan, or its error class."""
+    try:
+        result = ec.estimate(spectrum, method)
+    except ec.EigencountError as exc:
+        return type(exc).__name__
+    return result.q_hat, [tuple(getattr(row, c) == True if c == "accepted"  # noqa: E712
+                                else getattr(row, c) for c in columns)
+                          for row in result.trace.rows]
+
+
+class TestInvarianceProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(INVARIANCE_EIGENVALUES, min_size=2, max_size=12),
+           n=st.integers(1, 40), power=st.integers(-40, 40))
+    def test_scale_invariance(self, values, n, power):
+        spectrum = spectrum_from_values(values, n)
+        scaled = spectrum_from_values(np.asarray(values) * 2.0 ** power, n)
+        for method in ("rmt", "srmt", "sns"):
+            assert scan_outcome(scaled, method) == scan_outcome(spectrum, method)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(EIGENVALUES, min_size=2, max_size=12),
+           n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_order_invariance(self, values, n, seed):
+        permuted = np.random.default_rng(seed).permutation(values)
+        for method in ("rmt", "srmt", "sns"):
+            results = []
+            for order in (values, permuted):
+                try:
+                    result = ec.estimate(spectrum_from_values(order, n), method)
+                except ec.EigencountError as exc:
+                    results.append(type(exc).__name__)
+                else:
+                    results.append((result.q_hat, result.trace.to_csv_string()))
+            assert results[0] == results[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(exponents=st.lists(st.floats(-170.0, 170.0), min_size=2, max_size=11),
+           n=st.integers(1, 60))
+    def test_traces_finite_at_extreme_scales(self, exponents, n):
+        """Eigenvalues from 1e-170 to 1e170: every float a scan traces is
+        finite, or the scan raises a typed error."""
+        spectrum = spectrum_from_values([10.0 ** e for e in exponents], n)
+        for method in ("rmt", "srmt", "sns"):
+            try:
+                result = ec.estimate(spectrum, method)
+            except ec.EigencountError:
+                continue
+            for row in result.trace.rows:
+                for name in TRACE_COLUMNS:
+                    value = getattr(row, name)
+                    for x in value if isinstance(value, tuple) else (value,):
+                        if isinstance(x, float):
+                            assert math.isfinite(x), (method, row.k, name)
 
 
 def reference_likelihood_terms(spectrum):
@@ -401,6 +472,41 @@ class TestSharedComputation:
         spectrum = sampled_spectrum([8.0, 5.0, 2.0], p=50, n=100, seed=98)
         depth = max(len(ec.estimate(spectrum, m).trace.rows) for m in ("rmt", "srmt", "sns"))
         assert sorted(solved) == list(range(depth + 1))
+
+    def test_tw_edge_constants_once_per_geometry(self, monkeypatch):
+        from eigencount import tracy_widom
+        tracy_widom._edge_constants.cache_clear()
+        calls = []
+        original = tracy_widom.centering_mu
+
+        def counting(n, p):
+            calls.append((n, p))
+            return original(n, p)
+
+        monkeypatch.setattr(tracy_widom, "centering_mu", counting)
+        spec = ec.preset_scenario("fig4", trials=3, base_seed=6)
+        for _, p, n in spec.sweep_points():
+            for idx in range(3):
+                ec.run_trial(spec, idx, p, n)
+        assert calls and len(calls) == len(set(calls))
+
+    def test_fast_trace_rows_equal_constructed_rows(self):
+        import dataclasses
+        from eigencount.estimators import TraceRow, _trace_row
+        from tests.test_golden import _cases
+        rows = [row for spectrum in _cases("edge") for m in ("rmt", "srmt", "sns")
+                for row in ec.estimate(spectrum, m).trace.rows]
+        assert any(row.pbar_rmt_inter is not None for row in rows)
+        for row in rows:
+            columns = {name: getattr(row, name) for name in TRACE_COLUMNS}
+            rebuilt = TraceRow(**columns)
+            assert rebuilt == row and repr(rebuilt) == repr(row)
+            assert _trace_row(columns) == rebuilt
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.accepted = False
+        required = {"k": 1, "l_k": 2.5, "criterion": "rmt", "accepted": True}
+        partial = _trace_row(required)
+        assert partial == TraceRow(**required) and repr(partial) == repr(TraceRow(**required))
 
     def test_all_zero_spectrum_same_error_class(self):
         spectrum = spectrum_from_values(np.zeros(6), 10)

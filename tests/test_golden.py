@@ -2,9 +2,12 @@
 
 Pins the sha256 of every estimator's q_hat and of the rmt / srmt / sns trace
 CSVs on a fixed set of spectra: the fig4, fig7 and fig11 desk points with
-four trials each, one rank-deficient geometry (p = 20, n = 10), and an
-"edge" set of spectra that drive the scans through their rare branches (see
-test_edge_case_reaches_rare_branches).  A change that is meant to keep the
+four trials each, one rank-deficient geometry (p = 20, n = 10), an "edge"
+set of spectra that drive the scans through their rare branches (see
+test_edge_case_reaches_rare_branches), and a "random" set of seeded
+adversarial spectra (ties, zeros, p >> n, p = 2, 1e+-12 ranges and deep
+scans; see test_random_case_covers_its_kinds), where an estimator that
+raises contributes its error class instead of a q_hat and a trace.  A change that is meant to keep the
 arithmetic identical (caching, fast paths, refactors of the scan loops) must
 leave every hash as it is.
 """
@@ -14,6 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from eigencount.errors import EigencountError
 from eigencount.estimators import ESTIMATORS, METHOD_ORDER, EstimatorConfig
 from eigencount.simulation import (ScenarioSpec, generate_snapshots,
                                    preset_scenario, trial_rng)
@@ -30,9 +34,50 @@ EDGE_SPECTRA = (([6.92, 1.11, 1.03], 39), ([1.28, 0.25, 0.05], 20),
 # (p, n, trial) draws of a three-spike scenario whose sns scan rejects at a
 # step-2 choice: srmt with gamma >= 1 (first), rmt with gamma < 1 (second).
 EDGE_DRAWS = ((30, 20, 16), (40, 80, 13))
+RANDOM_COUNT = 300
+RANDOM_SEED = 5
+
+
+def _random_values(kind, rng):
+    """(eigenvalues, n) of one random spectrum of the given kind."""
+    if kind == "spread":
+        p = int(rng.integers(2, 25))
+        return rng.lognormal(0.0, 1.5, p), int(rng.integers(1, 120))
+    if kind == "ties":
+        p = int(rng.integers(2, 16))
+        return rng.integers(0, 4, p) * 1.5 + 0.5, int(rng.integers(2, 60))
+    if kind == "zeros":
+        p = int(rng.integers(3, 20))
+        values = rng.exponential(2.0, p)
+        values[p - int(rng.integers(1, p // 2 + 1)):] = 0.0
+        return values, int(rng.integers(2, 60))
+    if kind == "wide":  # p >> n
+        p = int(rng.integers(30, 80))
+        return rng.exponential(1.0, p), int(rng.integers(1, 8))
+    if kind == "pair":  # p = 2
+        return rng.exponential(3.0, 2), int(rng.integers(1, 50))
+    if kind == "range":  # 1e+-12 dynamic range
+        p = int(rng.integers(2, 14))
+        return 10.0 ** rng.uniform(-12.0, 12.0, p), int(rng.integers(1, 80))
+    # "deep": many strong spikes over a unit noise floor, so the scans run
+    # to k >= 9.
+    p = int(rng.integers(20, 40))
+    q = int(rng.integers(9, 14))
+    values = 1.0 + rng.normal(0.0, 0.05, p)
+    values[:q] = np.geomspace(60.0, 8.0, q) * rng.uniform(0.8, 1.2, q)
+    return values, int(rng.integers(300, 900))
+
+
+RANDOM_KINDS = ("spread", "ties", "zeros", "wide", "pair", "range", "deep")
 
 
 def _cases(name):
+    if name == "random":
+        rng = np.random.default_rng(RANDOM_SEED)
+        for i in range(RANDOM_COUNT):
+            values, n = _random_values(RANDOM_KINDS[i % len(RANDOM_KINDS)], rng)
+            yield Spectrum.from_values(values, n)
+        return
     if name == "edge":
         for values, n in EDGE_SPECTRA:
             yield Spectrum.from_values(values, n)
@@ -57,9 +102,19 @@ def golden_digests(name):
     config = EstimatorConfig()
     q_hats, traces = [], []
     for spectrum in _cases(name):
-        results = {m: ESTIMATORS[m](spectrum, config) for m in METHOD_ORDER}
-        q_hats.append(tuple(results[m].q_hat for m in METHOD_ORDER))
-        traces.extend(results[m].trace.to_csv_string() for m in SCAN_METHODS)
+        outcomes = []
+        for method in METHOD_ORDER:
+            try:
+                result = ESTIMATORS[method](spectrum, config)
+            except EigencountError as exc:
+                outcomes.append(type(exc).__name__)
+                if method in SCAN_METHODS:
+                    traces.append(type(exc).__name__)
+                continue
+            outcomes.append(result.q_hat)
+            if method in SCAN_METHODS:
+                traces.append(result.trace.to_csv_string())
+        q_hats.append(tuple(outcomes))
     return (hashlib.sha256(repr(q_hats).encode()).hexdigest(),
             hashlib.sha256("".join(traces).encode()).hexdigest())
 
@@ -75,6 +130,8 @@ GOLDEN = {
                        "70b420528b1e50cb5977f7d02389489407f6c627e3a6d09fb192258422be6b26"),
     "edge": ("d0a386806fd78b8029cc232b85f59911c03374fbc64a24083f66cef1f76d7be9",
              "6013669b0c30dfe4eb2728ae19ef5820dd07aafa3dccfc21ec42a085d8fd9c90"),
+    "random": ("b90485d5f655615006ae99442866f277b7723dc75c57fe3d85e0ae3bf81b6faf",
+               "efc28786ccd341012c0dcbf0f1a2236c8aeccdbc0a008b8887cfb6df4d061989"),
 }
 
 
@@ -115,3 +172,22 @@ def test_edge_case_reaches_rare_branches():
         assert row.k > 1 and result["sns"].q_hat == row.k - 1
     spectra = list(_cases("edge"))
     assert spectra[3].gamma >= 1.0 > spectra[4].gamma
+
+
+def test_random_case_covers_its_kinds():
+    spectra = list(_cases("random"))
+    assert len(spectra) == RANDOM_COUNT
+    assert any(s.p == 2 for s in spectra)
+    assert any(s.p >= 10 * s.n for s in spectra)
+    assert any(np.any(np.diff(s.eigenvalues) == 0.0) for s in spectra)
+    assert any(s.eigenvalues[-1] == 0.0 for s in spectra)
+    assert any(s.eigenvalues[0] >= 1e20 * s.eigenvalues[-1] > 0.0 for s in spectra)
+    config = EstimatorConfig()
+    depths, failures = [], 0
+    for spectrum in spectra:
+        for method in SCAN_METHODS:
+            try:
+                depths.append(len(ESTIMATORS[method](spectrum, config).trace.rows))
+            except EigencountError:
+                failures += 1
+    assert max(depths) >= 9 and failures > 0

@@ -185,3 +185,113 @@ class TestSharedFits:
         for _ in range(2):
             with pytest.raises(InvalidInputError):
                 ec.estimate_noise_and_spikes(spectrum, 10)
+
+
+def reference_fixed_point(spectrum, k, tol=ec.noise.DEFAULT_TOL,
+                          max_iter=ec.noise.DEFAULT_MAX_ITER):
+    """The fixed point on float64 arrays, the oracle for the float iteration:
+    (sigma2, rho, degenerate, converged, iterations)."""
+    p, n = spectrum.p, spectrum.n
+    vals = spectrum.eigenvalues
+    sigma2_init = float(vals[k:].mean())
+    leading = vals[:k]
+    shift = 1.0 - (p - k) / n
+
+    def roots(sigma2):
+        b = leading + sigma2 * shift
+        disc = b * b - 4.0 * leading * sigma2
+        with np.errstate(invalid="ignore"):
+            rho = np.where(disc < 0.0, b / 2.0, (b + np.sqrt(disc)) / 2.0)
+        return rho, disc < 0.0
+
+    sigma2 = sigma2_init
+    for iteration in range(1, max_iter + 1):
+        rho, _ = roots(sigma2)
+        sigma2_new = float(vals[k:].sum() + (leading - rho).sum()) / (p - k)
+        if sigma2_new <= 0.0:
+            return (sigma2_init, *roots(sigma2_init), False, iteration)
+        if abs(sigma2_new - sigma2) < tol * sigma2_new:
+            return (sigma2_new, *roots(sigma2_new), True, iteration)
+        sigma2 = sigma2_new
+    return (sigma2_init, *roots(sigma2_init), False, max_iter)
+
+
+class TestFloatFixedPoint:
+    def test_pairwise_sum_is_numpy_sum(self):
+        # A wide dynamic range makes every change of summation order show.
+        rng = np.random.default_rng(10)
+        for length in range(0, 301):
+            for _ in range(5):
+                values = rng.normal(size=length) * 10.0 ** rng.uniform(-8.0, 8.0, length)
+                assert repr(ec.noise._pairwise_sum(values.tolist())) == \
+                    repr(float(values.sum())), length
+            zeros = np.full(length, -0.0)
+            assert repr(ec.noise._pairwise_sum(zeros.tolist())) == repr(float(zeros.sum()))
+
+    def test_mean_is_sum_over_count(self):
+        # The fit's initialiser tail_sum / (p - k) is numpy's mean.
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            values = rng.exponential(size=int(rng.integers(1, 150)))
+            assert float(values.sum()) / values.size == float(values.mean())
+
+    def test_fit_equals_array_reference(self):
+        """Field by field, on desk spectra, p >> n, wide dynamic ranges and
+        near-flat small spectra (where k = p - 1 drives the noise iterate
+        below 0), through all three exits."""
+        rng = np.random.default_rng(11)
+        cases = [sampled_spectrum([9.0, 6.0, 4.0, 3.0, 2.5], p=40, n=30, seed=4300 + s)
+                 for s in range(6)]
+        cases += [spectrum_from_values(rng.exponential(2.0, 60), int(rng.integers(2, 12)))
+                  for _ in range(6)]
+        cases += [spectrum_from_values(rng.lognormal(0.0, 2.0, 25), 200) for _ in range(6)]
+        cases += [spectrum_from_values(rng.lognormal(0.0, 0.1, 9), 70) for _ in range(6)]
+        exits = set()
+        for spectrum in cases:
+            for k in range(1, min(spectrum.p, spectrum.n)):
+                for max_iter in (3, 200):
+                    fit = ec.noise._fixed_point(spectrum, k, ec.noise.DEFAULT_TOL, max_iter)
+                    sigma2, rho, degenerate, converged, iterations = \
+                        reference_fixed_point(spectrum, k, max_iter=max_iter)
+                    assert repr(fit.sigma2_hat) == repr(sigma2)
+                    assert fit.rho_hat.tobytes() == rho.tobytes()
+                    assert fit.lambda_hat.tobytes() == (rho - sigma2).tobytes()
+                    assert fit.degenerate_roots.tolist() == degenerate.tolist()
+                    assert (fit.converged, fit.iterations) == (converged, iterations)
+                    assert fit.any_degenerate == bool(degenerate.any())
+                    exits.add("converged" if converged else
+                              "max_iter" if iterations == max_iter else "non-positive")
+        assert exits == {"converged", "max_iter", "non-positive"}
+
+
+class TestSpikeRootRange:
+    @pytest.mark.parametrize("power", [-600, -520, 500, 560])
+    def test_out_of_range_roots_scale(self, power):
+        """Eigenvalues whose squares leave the float range give the unit-scale
+        roots, scaled, with the same flags."""
+        scale = 2.0 ** power
+        leading = [9.0, 4.0, 1.2, 0.5]
+        for shift in (0.5, -0.4, -3.0):
+            unit = ec.noise._spike_roots(leading, 1.1, shift)
+            scaled = ec.noise._spike_roots([l * scale for l in leading], 1.1 * scale, shift)
+            assert scaled[1] == unit[1]
+            for root, unit_root in zip(*(scaled[0], unit[0])):
+                assert math.isfinite(root)
+                assert root / scale == pytest.approx(unit_root, rel=1e-13)
+
+    def test_in_range_roots_keep_the_unscaled_bits(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            l = float(10.0 ** rng.uniform(-150.0, 150.0))
+            sigma2 = l * float(rng.uniform(0.01, 2.0))
+            shift = float(rng.uniform(-3.0, 1.0))
+            (root,), (flag,) = ec.noise._spike_roots([l], sigma2, shift)
+            b = l + sigma2 * shift
+            disc = b * b - 4.0 * l * sigma2
+            assert flag == (disc < 0.0)
+            assert root == (b / 2.0 if flag else (b + math.sqrt(disc)) / 2.0)
+
+    def test_huge_spectrum_fits_finite(self):
+        spectrum = spectrum_from_values([8.72e154, 1.05e129], 11)
+        fit = ec.estimate_noise_and_spikes(spectrum, 1)
+        assert np.all(np.isfinite(fit.lambda_hat)) and math.isfinite(fit.sigma2_hat)

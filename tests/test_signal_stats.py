@@ -61,6 +61,43 @@ class TestInteractionTerm:
         with pytest.raises(InvalidInputError):
             ec.interaction_term(3, np.array([2.0, 1.0]), 1.0, 10)
 
+    def test_matches_array_reference_bit_for_bit(self):
+        """The float loop against the np.float64 loop it replaces, ties and
+        the np.float64 result type included."""
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            q = int(rng.integers(2, 12))
+            lam = rng.exponential(5.0, q)
+            if rng.random() < 0.5:
+                lam = np.round(lam)  # exact ties
+            lam = np.sort(lam)[::-1] - float(rng.uniform(0.0, 1.0))
+            sigma2, n = float(rng.uniform(0.1, 3.0)), int(rng.integers(2, 300))
+            for i in range(1, q + 1):
+                lam_i = lam[i - 1]
+                clamp = TIE_CLAMP_SCALE * max(float(lam.max()), sigma2)
+                total = 0.0
+                for j in range(q):
+                    if j != i - 1:
+                        gap = lam_i - lam[j]
+                        if abs(gap) < clamp:
+                            gap = -clamp if j < i - 1 else clamp
+                        total += (lam[j] + sigma2) * (lam_i + sigma2) / gap
+                value = ec.interaction_term(i, lam, sigma2, n)
+                assert type(value) is np.float64
+                assert repr(value) == repr(total / n)
+
+    @pytest.mark.parametrize("power", [-560, -520, 520, 560])
+    def test_products_out_of_float_range(self, power):
+        """Strengths whose pairwise products overflow or underflow give the
+        unit-scale term, scaled, instead of inf or 0."""
+        scale = 2.0 ** power
+        lam = np.array([9.0, 5.0, 5.0, 1.5])
+        for i in range(1, 5):
+            unit = ec.interaction_term(i, lam, 1.2, 40)
+            value = ec.interaction_term(i, lam * scale, 1.2 * scale, 40)
+            assert math.isfinite(value)
+            assert value / scale == pytest.approx(unit, rel=1e-12)
+
 
 class TestKappaFactor:
     def test_example(self):

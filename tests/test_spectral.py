@@ -176,6 +176,17 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             Spectrum(np.array([1.0, 2.0]), 2, 4)
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-3, 1.0, 1e20])
+    def test_sort_check_is_scale_free(self, scale):
+        with pytest.raises(InvalidInputError):
+            Spectrum(np.array([1.0, 5.0, 3.0]) * scale, 3, 10)
+        # Round-off below the relative tolerance is accepted at every scale.
+        Spectrum(np.array([5.0, 3.0, 3.0 * (1.0 + 1e-14)]) * scale, 3, 10)
+
+    def test_empty_spectrum_rejected(self):
+        with pytest.raises(InvalidInputError):
+            Spectrum(np.array([]), 0, 10)
+
     def test_spectrum_clamps_roundoff(self):
         spectrum = Spectrum(np.array([2.0, -5e-11]), 2, 4)
         assert spectrum.eigenvalues[-1] == 0.0

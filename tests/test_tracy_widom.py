@@ -15,7 +15,7 @@ import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.spectral import PopulationModel, eig_sym_desc, sample_covariance
 from eigencount.simulation import generate_snapshots, trial_rng
-from eigencount.tracy_widom import TWTable, tw_table
+from eigencount.tracy_widom import TWTable, _edge_constants, tw_table
 
 # Oracle quantiles F_beta(s) = 1 - alpha.
 QUANTILE_ORACLE = {
@@ -130,6 +130,14 @@ class TestEdgeConstants:
             ec.centering_mu(0, 5)
         with pytest.raises(InvalidInputError):
             ec.scaling_sigma(5, 0)
+        with pytest.raises(InvalidInputError):
+            _edge_constants(5, 0)
+
+    def test_cached_constants_equal_the_formulas(self):
+        for n in (1, 2, 3, 10, 39, 120, 400, 10_000):
+            for p in (1, 2, 5, 19, 59, 60, 399, 800):
+                assert _edge_constants(n, p) == (ec.centering_mu(n, p),
+                                                 ec.scaling_sigma(n, p))
 
 
 class TestTableValidation:

@@ -170,9 +170,9 @@ def _add_estimate_flags(parser, with_method_all: bool):
     choices = METHOD_ORDER + ("all",) if with_method_all else METHOD_ORDER
     default = "all" if with_method_all else "sns"
     parser.add_argument("--method", choices=choices, default=default)
-    parser.add_argument("--alpha", type=float, default=0.005,
+    parser.add_argument("--alpha", type=float, default=EstimatorConfig.alpha,
                         help="false-alarm level of the TW test")
-    parser.add_argument("--alpha0", type=float, default=0.995,
+    parser.add_argument("--alpha0", type=float, default=EstimatorConfig.alpha0,
                         help="target detection probability of the signal-search test")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import InvalidInputError
-from .noise import NoiseFit, estimate_noise_and_spikes
+from .noise import DEFAULT_MAX_ITER, DEFAULT_TOL, NoiseFit, estimate_noise_and_spikes
 from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
                             pe_rmt, pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import SignalStat, decision_statistic
@@ -37,8 +37,8 @@ class EstimatorConfig:
     alpha: float = 0.005
     alpha0: float = 0.995
     beta: int = 1
-    solver_tol: float = 1e-8
-    solver_max_iter: int = 200
+    solver_tol: float = DEFAULT_TOL
+    solver_max_iter: int = DEFAULT_MAX_ITER
     modified_aic_c: float = 2.0
     # Off by default: halves the eigenstructure parameter count in the
     # information criteria, the real-data degrees-of-freedom convention.
@@ -155,8 +155,7 @@ def _likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
 
 def _compute_likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
     vals = spectrum.eigenvalues
-    p, n = spectrum.p, spectrum.n
-    kmax = min(p, n) - 1
+    p, n, kmax = spectrum.p, spectrum.n, spectrum.kmax
     degenerate = bool(np.any(vals <= 0.0))
     tail_sum = np.cumsum(vals[::-1])[::-1][:kmax + 1]
     tail_log = np.cumsum(_clamped_log(vals)[::-1])[::-1][:kmax + 1]
@@ -263,7 +262,7 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
     At each k = 1, 2, ... the policy choose(spectrum, fit_k, config) names
     the test for l_k and returns extra trace columns, plus the step's
     decision statistic if it computed one (else None); the scan stops at
-    the first rejection, so q_hat = k - 1, or min(p, n) - 1 if nothing
+    the first rejection, so q_hat = k - 1, or spectrum.kmax if nothing
     rejects.
 
     * rmt:  l_k > the TW threshold at false-alarm alpha;
@@ -275,8 +274,7 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
     """
     trace = DecisionTrace(method=method)
     values = spectrum.eigenvalues.tolist()
-    kmax = min(spectrum.p, spectrum.n) - 1
-    q_hat = kmax
+    q_hat = kmax = spectrum.kmax
     for k in range(1, kmax + 1):
         fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
                                         config.solver_max_iter)
@@ -331,7 +329,7 @@ ESTIMATORS = {
     "sns": estimate_sns,
 }
 
-METHOD_ORDER = ("aic", "mdl", "maic", "rmt", "srmt", "sns")
+METHOD_ORDER = tuple(ESTIMATORS)
 
 
 def estimate(spectrum: Spectrum, method: str,

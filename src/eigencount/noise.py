@@ -55,13 +55,6 @@ class NoiseFit:
             any_degenerate=bool(np.asarray(degenerate_roots).any()))
 
 
-def mle_noise(spectrum: Spectrum, k: int) -> float:
-    """Average of the trailing p - k eigenvalues."""
-    if not 0 <= k <= spectrum.p - 1:
-        raise InvalidInputError(f"k must lie in 0..{spectrum.p - 1}, got {k}")
-    return float(spectrum.eigenvalues[k:].mean())
-
-
 def _spike_roots(leading, sigma2: float, shift: float) -> tuple[list[float], list[bool]]:
     """Larger root of the spike quadratic for each eigenvalue l in leading.
 
@@ -147,16 +140,6 @@ def _pairwise(values: list[float], start: int, stop: int) -> float:
     return _pairwise(values, start, start + half) + _pairwise(values, start + half, stop)
 
 
-def solve_rho(l: float, sigma2: float, p: int, k: int, n: int) -> tuple[float, bool]:
-    """Larger root of the spike quadratic; (value, degenerate_flag).
-
-    A negative discriminant clamps the root to the quadratic vertex and sets
-    the flag (see _spike_roots).
-    """
-    roots, degenerate = _spike_roots([l], sigma2, 1.0 - (p - k) / n)
-    return roots[0], degenerate[0]
-
-
 def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
                               tol: float = DEFAULT_TOL,
                               max_iter: int = DEFAULT_MAX_ITER) -> NoiseFit:
@@ -183,8 +166,8 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
     is bit-identical to the same iteration on float64 arrays.
     """
     p, n = spectrum.p, spectrum.n
-    if not 0 <= k <= min(p, n) - 1:
-        raise InvalidInputError(f"k must lie in 0..{min(p, n) - 1}, got {k}")
+    if not 0 <= k <= spectrum.kmax:
+        raise InvalidInputError(f"k must lie in 0..{spectrum.kmax}, got {k}")
     vals = spectrum.eigenvalues
     tail_sum = float(vals[k:].sum())
     sigma2_init = tail_sum / (p - k)

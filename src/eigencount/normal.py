@@ -77,9 +77,9 @@ def norm_ppf(p: float) -> float:
     # Newton step on Phi(x) - p = 0; evaluate the residual on the side of
     # the distribution where erfc keeps full relative accuracy.
     if p < 0.5:
-        err = 0.5 * math.erfc(-x / _SQRT2) - p
+        err = norm_cdf(x) - p
     else:
-        err = (1.0 - p) - 0.5 * math.erfc(x / _SQRT2)
+        err = (1.0 - p) - norm_sf(x)
     x -= err / norm_pdf(x)
     return x
 

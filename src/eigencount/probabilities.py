@@ -16,8 +16,8 @@ from functools import lru_cache
 from .errors import InvalidInputError
 from .noise import NoiseFit
 from .normal import norm_cdf, normal_tail_inv
-from .signal_stats import SignalStat, decision_statistic
-from .spectral import Spectrum
+from .signal_stats import decision_statistic
+from .spectral import Spectrum, detection_limit
 from .tracy_widom import _edge_constants, tw_cdf, tw_quantile
 
 
@@ -38,7 +38,7 @@ def _z_threshold(sigma2: float, gamma: float, delta: float, alpha0: float) -> fl
     Q^{-1} is the upper-tail inverse, so for alpha0 > 0.5 the threshold sits
     above the raw detection limit by |Q^{-1}(alpha0)| standard deviations.
     """
-    return sigma2 * math.sqrt(gamma) - delta * _q_inv(alpha0)
+    return detection_limit(sigma2, gamma) - delta * _q_inv(alpha0)
 
 
 def _tw_edge(fit: NoiseFit) -> tuple[float, float, float]:
@@ -60,14 +60,13 @@ class ProbPair:
 
     p_miss: float
     p_false: float
-    saturated: bool = False
 
-    def __init__(self, p_miss: float, p_false: float, saturated: bool = False):
+    def __init__(self, p_miss: float, p_false: float):
         # Sets the fields directly: the frozen-dataclass __init__ routes each
         # through object.__setattr__, and the scores build several per step.
         if not (0.0 <= p_miss <= 1.0 and 0.0 <= p_false <= 1.0):
             raise InvalidInputError("probabilities must lie in [0, 1]")
-        self.__dict__.update(p_miss=p_miss, p_false=p_false, saturated=saturated)
+        self.__dict__.update(p_miss=p_miss, p_false=p_false)
 
     @property
     def p_total(self) -> float:
@@ -157,10 +156,10 @@ def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
     v = stat.v if with_interaction else 0.0
     if not stat.delta_valid:
         # Subcritical strength: the test cannot detect such a spike.
-        p_miss, saturated = 1.0, True
+        p_miss = 1.0
     else:
         arg = -((theta + v) / stat.kappa - ctx._bulk_edge) / stat.delta
-        p_miss, saturated = norm_cdf(arg), False
+        p_miss = norm_cdf(arg)
 
     if with_interaction:
         edge_scale = sigma2 * sc
@@ -169,7 +168,7 @@ def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
         p_false = 1.0 - tw_cdf(_s_alpha(ctx.alpha, ctx.beta) - offset, ctx.beta)
     else:
         p_false = ctx.alpha
-    return ProbPair(p_miss=p_miss, p_false=p_false, saturated=saturated)
+    return ProbPair(p_miss=p_miss, p_false=p_false)
 
 
 def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
@@ -179,14 +178,13 @@ def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
     if not stat.delta_valid:
         # Subcritical strength: neither test can detect such a spike, so
         # both miss variants saturate.
-        p_miss, saturated = 1.0, True
+        p_miss = 1.0
     elif not with_interaction:
-        p_miss, saturated = 1.0 - ctx.alpha0, False
+        p_miss = 1.0 - ctx.alpha0
     else:
         p_miss = norm_cdf(_q_inv(ctx.alpha0) + stat.v / (stat.kappa * stat.delta))
-        saturated = False
 
     v = stat.v if with_interaction else 0.0
     sigma2, mu, sc, _ = ctx._edge(assume_signal)
     p_false = 1.0 - tw_cdf(((ctx._theta_srmt + v) / sigma2 - mu) / sc, ctx.beta)
-    return ProbPair(p_miss=p_miss, p_false=p_false, saturated=saturated)
+    return ProbPair(p_miss=p_miss, p_false=p_false)

@@ -105,6 +105,21 @@ def stat_std_dev(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int,
     return delta, valid
 
 
+def fluctuation_params(lam: float, sigma2: float, p: int, n: int, q: int,
+                       beta: int = 1) -> tuple[float, float]:
+    """Mean (lam + sigma2) kappa and standard deviation kappa stat_std_dev of a
+    supercritical spike eigenvalue: the test's formulas at population values."""
+    if lam <= 0.0 or sigma2 <= 0.0:
+        raise InvalidInputError("need lam > 0 and sigma2 > 0")
+    kappa = kappa_factor(lam, sigma2, p, q, n)
+    delta, valid = stat_std_dev(lam, sigma2, p, q, n, beta)
+    if not valid:
+        raise InvalidInputError(
+            f"strength {lam:g} is at or below the fluctuation threshold "
+            f"{sigma2 * math.sqrt((p - q) / n):g}")
+    return (lam + sigma2) * kappa, delta * kappa
+
+
 def decision_statistic(i: int, spectrum: Spectrum, fit: NoiseFit,
                        beta: int = 1) -> SignalStat:
     """z = (l_i - v_i) / kappa_i - sigma2: an estimate of the i-th strength."""

@@ -285,6 +285,27 @@ def preset_scenario(name: str, trials: int | None = None, base_seed: int = 0,
     return ScenarioSpec(**kwargs)
 
 
+def _list_of(kind):
+    """Parser of a comma-separated list; empty entries are skipped."""
+    return lambda value: tuple(kind(v) for v in value.split(",") if v.strip())
+
+
+# Scenario-file keys other than preset: the ScenarioSpec field each sets and
+# the parser of its value.
+_SCENARIO_KEYS = {
+    "lambda": ("lambdas", _list_of(float)),
+    "sigma2": ("sigma2", float),
+    "trials": ("trials", int),
+    "seed": ("base_seed", int),
+    "methods": ("methods", lambda value: tuple(m.strip() for m in value.split(","))),
+    "gamma": ("gamma", float),
+    "p": ("p", int),
+    "n": ("n", int),
+    "p_list": ("p_list", _list_of(int)),
+    "n_list": ("n_list", _list_of(int)),
+}
+
+
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse the flat key=value scenario format.
 
@@ -300,50 +321,22 @@ def parse_scenario(text: str) -> ScenarioSpec:
         if "=" not in line:
             raise InvalidInputError(f"line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[key] = value
-
-    def ints(value):
-        return tuple(int(v) for v in value.split(",") if v.strip())
-
-    def floats(value):
-        return tuple(float(v) for v in value.split(",") if v.strip())
-
-    known = {"preset", "p", "p_list", "n", "n_list", "gamma", "lambda",
-             "sigma2", "trials", "seed", "methods"}
-    for key in entries:
-        if key not in known:
+        if key != "preset" and key not in _SCENARIO_KEYS:
             raise InvalidInputError(f"unknown scenario key {key!r}")
+        entries[key] = value
 
     if "preset" in entries:
         spec = preset_scenario(entries.pop("preset"))
     else:
         spec = ScenarioSpec()
 
-    updates = {}
-    if "lambda" in entries:
-        updates["lambdas"] = floats(entries["lambda"])
-    if "sigma2" in entries:
-        updates["sigma2"] = float(entries["sigma2"])
-    if "trials" in entries:
-        updates["trials"] = int(entries["trials"])
-    if "seed" in entries:
-        updates["base_seed"] = int(entries["seed"])
-    if "methods" in entries:
-        updates["methods"] = tuple(m.strip() for m in entries["methods"].split(","))
-    if "gamma" in entries:
-        updates["gamma"] = float(entries["gamma"])
-    if "p" in entries:
-        updates["p"] = int(entries["p"])
-    if "n" in entries:
-        value = entries["n"]
-        if "," in value:
-            updates["n_list"] = ints(value)
-        else:
-            updates["n"] = int(value)
-    if "p_list" in entries:
-        updates["p_list"] = ints(entries["p_list"])
-    if "n_list" in entries:
-        updates["n_list"] = ints(entries["n_list"])
+    if "," in entries.get("n", ""):
+        entries.setdefault("n_list", entries.pop("n"))  # an n sweep; n_list wins
+    try:
+        updates = {field_name: parse(entries[key])
+                   for key, (field_name, parse) in _SCENARIO_KEYS.items() if key in entries}
+    except ValueError as exc:
+        raise InvalidInputError(f"malformed scenario value: {exc}") from exc
     spec = replace(spec, **updates)
     spec.sweep_points()  # validate the geometry eagerly
     return spec

@@ -82,6 +82,11 @@ class Spectrum:
     def gamma(self) -> float:
         return self.p / self.n
 
+    @property
+    def kmax(self) -> int:
+        """The largest signal count a scan or criterion considers, min(p, n) - 1."""
+        return min(self.p, self.n) - 1
+
     def _memoised(self, key, compute):
         """compute(), evaluated once per spectrum and key.
 
@@ -189,22 +194,6 @@ def spike_limit(lam: float, sigma2: float, gamma: float) -> float:
     if lam > detection_limit(sigma2, gamma):
         return (lam + sigma2) * (1.0 + gamma * sigma2 / lam)
     return sigma2 * (1.0 + math.sqrt(gamma)) ** 2
-
-
-def fluctuation_params(lam: float, sigma2: float, p: int, n: int, q: int,
-                       beta: int = 1) -> tuple[float, float]:
-    """Mean and standard deviation of a supercritical spike eigenvalue."""
-    if lam <= 0.0 or sigma2 <= 0.0:
-        raise InvalidInputError("need lam > 0 and sigma2 > 0")
-    ratio = (p - q) / n
-    radicand = 1.0 - ratio * sigma2**2 / lam**2
-    if radicand <= 0.0:
-        raise InvalidInputError(
-            f"strength {lam:g} is at or below the fluctuation threshold "
-            f"{sigma2 * math.sqrt(ratio):g}")
-    tau = (lam + sigma2) * (1.0 + ratio * sigma2 / lam)
-    delta = (lam + sigma2) * math.sqrt(2.0 / (beta * n) * radicand)
-    return tau, delta
 
 
 def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:

@@ -196,15 +196,11 @@ def centering_mu(n: int, p: int) -> float:
 
 def scaling_sigma(n: int, p: int) -> float:
     """Edge scaling constant matching centering_mu."""
-    return _scaling_from_mu(n, p, centering_mu(n, p))
-
-
-def _scaling_from_mu(n: int, p: int, mu: float) -> float:
-    return math.sqrt(mu / n) * (1.0 / math.sqrt(n - 0.5) + 1.0 / math.sqrt(p - 0.5)) ** (1.0 / 3.0)
+    return _edge_constants(n, p)[1]
 
 
 @lru_cache(maxsize=4096)
 def _edge_constants(n: int, p: int) -> tuple[float, float]:
     """(centering_mu(n, p), scaling_sigma(n, p)), computed once per (n, p)."""
     mu = centering_mu(n, p)
-    return mu, _scaling_from_mu(n, p, mu)
+    return mu, math.sqrt(mu / n) * (1.0 / math.sqrt(n - 0.5) + 1.0 / math.sqrt(p - 0.5)) ** (1.0 / 3.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import eigencount as ec
-from eigencount.cli import main
+from eigencount.cli import build_parser, main
 from eigencount.estimators import TRACE_COLUMNS
 
 
@@ -65,6 +65,12 @@ class TestEstimate:
         path.write_text("1.0\nnot-a-number\n")
         code, _, err = run_cli(capsys, "estimate", str(path), "--n", "10")
         assert code == 2 and "bad.csv" in err
+
+    @pytest.mark.parametrize("sub", ["estimate", "trace"])
+    def test_level_defaults_are_the_config_defaults(self, sub):
+        args = build_parser().parse_args([sub, "eigs.csv"])
+        config = ec.EstimatorConfig()
+        assert (args.alpha, args.alpha0) == (config.alpha, config.alpha0)
 
     def test_missing_n_exits_1(self, tmp_path, capsys):
         path = tmp_path / "eigs.csv"
@@ -153,6 +159,12 @@ class TestSweep:
         scenario.write_text("qqq = 1\n")
         code, _, err = run_cli(capsys, "sweep", str(scenario))
         assert code == 1 and "qqq" in err
+
+    def test_malformed_scenario_value_exits_1(self, tmp_path, capsys):
+        scenario = tmp_path / "scen.txt"
+        scenario.write_text("p = 16\nn = 3two\n")
+        code, _, err = run_cli(capsys, "sweep", str(scenario))
+        assert code == 1 and "3two" in err
 
     def test_missing_scenario_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "sweep")

@@ -5,37 +5,50 @@ import pytest
 
 import eigencount as ec
 from eigencount.errors import InvalidInputError
+from eigencount.noise import DEFAULT_TOL, _fixed_point, _spike_roots
 from tests.conftest import sampled_spectrum, spectrum_from_values
+
+
+def mle_noise(spectrum, k):
+    """The fit's initialiser, the trailing-eigenvalue mean: a fit with no
+    iterations returns it."""
+    return _fixed_point(spectrum, k, DEFAULT_TOL, 0).sigma2_hat
+
+
+def solve_rho(l, sigma2, p, k, n):
+    """_spike_roots for one eigenvalue under hypothesis k; (root, flag)."""
+    roots, degenerate = _spike_roots([l], sigma2, 1.0 - (p - k) / n)
+    return roots[0], degenerate[0]
 
 
 class TestMleNoise:
     def test_full_mean(self):
-        assert ec.mle_noise(spectrum_from_values([2.0, 1.0, 1.0], 6), 0) == pytest.approx(4.0 / 3.0)
+        assert mle_noise(spectrum_from_values([2.0, 1.0, 1.0], 6), 0) == pytest.approx(4.0 / 3.0)
 
     def test_last_eigenvalue(self):
-        assert ec.mle_noise(spectrum_from_values([5.0, 3.0, 2.0], 6), 2) == pytest.approx(2.0)
+        assert mle_noise(spectrum_from_values([5.0, 3.0, 2.0], 6), 2) == pytest.approx(2.0)
 
     def test_trailing_mean(self):
         spectrum = spectrum_from_values([10.0, 1.1, 0.9, 1.0], 8)
-        assert ec.mle_noise(spectrum, 1) == pytest.approx(1.0)
+        assert mle_noise(spectrum, 1) == pytest.approx(1.0)
 
     def test_k_range(self):
         with pytest.raises(InvalidInputError):
-            ec.mle_noise(spectrum_from_values([1.0, 1.0], 4), 2)
+            mle_noise(spectrum_from_values([1.0, 1.0], 4), 2)
 
 
 class TestSolveRho:
     def test_hand_quadratic(self):
         # b = 4 + 1*(1 - 0.5) = 4.5, larger root (4.5 + sqrt(4.25))/2
-        rho, degenerate = ec.solve_rho(4.0, 1.0, p=50, k=10, n=80)
+        rho, degenerate = solve_rho(4.0, 1.0, p=50, k=10, n=80)
         assert not degenerate
         assert rho == pytest.approx((4.5 + math.sqrt(4.5**2 - 16.0)) / 2.0, rel=1e-14)
 
     def test_factorised_case(self):
         # (p-k)/n = 0 factorises the quadratic into roots {l, sigma2}
-        rho, degenerate = ec.solve_rho(4.0, 1.0, p=10, k=10, n=80)
+        rho, degenerate = solve_rho(4.0, 1.0, p=10, k=10, n=80)
         assert not degenerate and rho == pytest.approx(4.0, rel=1e-14)
-        rho, _ = ec.solve_rho(1.0, 1.0, p=10, k=10, n=80)
+        rho, _ = solve_rho(1.0, 1.0, p=10, k=10, n=80)
         assert rho == pytest.approx(1.0, rel=1e-14)
 
     def test_degenerate_clamp(self):
@@ -43,7 +56,7 @@ class TestSolveRho:
         l, sigma2, p, k, n = 1.0, 1.0, 50, 2, 100
         b = l + sigma2 * (1.0 - (p - k) / n)
         assert b * b - 4.0 * l * sigma2 < 0.0
-        rho, degenerate = ec.solve_rho(l, sigma2, p, k, n)
+        rho, degenerate = solve_rho(l, sigma2, p, k, n)
         assert degenerate and rho == pytest.approx(b / 2.0)
 
     def test_root_properties_random(self):
@@ -56,7 +69,7 @@ class TestSolveRho:
             n = rng.randint(5, 400)
             b = l + sigma2 * (1.0 - (p - k) / n)
             disc = b * b - 4.0 * l * sigma2
-            rho, degenerate = ec.solve_rho(l, sigma2, p, k, n)
+            rho, degenerate = solve_rho(l, sigma2, p, k, n)
             if disc >= 0.0:
                 assert not degenerate
                 smaller = (b - math.sqrt(disc)) / 2.0
@@ -68,14 +81,14 @@ class TestSolveRho:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
-            ec.solve_rho(0.0, 1.0, 10, 1, 10)
+            solve_rho(0.0, 1.0, 10, 1, 10)
 
 
 class TestJointSolver:
     def test_k0_is_closed_form(self):
         spectrum = spectrum_from_values([4.0, 1.5, 1.0, 0.5], 8)
         fit = ec.estimate_noise_and_spikes(spectrum, 0)
-        assert fit.sigma2_hat == ec.mle_noise(spectrum, 0)
+        assert fit.sigma2_hat == float(spectrum.eigenvalues.mean())
         assert fit.converged and fit.iterations == 0
         assert fit.rho_hat.size == 0
 
@@ -153,8 +166,8 @@ class TestSharedFits:
             for k in range(1, 12):
                 fit = ec.estimate_noise_and_spikes(spectrum, k)
                 for j in range(k):
-                    rho, degenerate = ec.solve_rho(spectrum.eigenvalues[j], fit.sigma2_hat,
-                                                   spectrum.p, k, spectrum.n)
+                    rho, degenerate = solve_rho(spectrum.eigenvalues[j], fit.sigma2_hat,
+                                                spectrum.p, k, spectrum.n)
                     assert rho == fit.rho_hat[j]
                     assert degenerate == fit.degenerate_roots[j]
                     degenerate_seen += degenerate

@@ -7,7 +7,8 @@ import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.noise import NoiseFit
 from eigencount.probabilities import _z_threshold
-from eigencount.signal_stats import TIE_CLAMP_SCALE
+from eigencount.signal_stats import (TIE_CLAMP_SCALE, interaction_term, kappa_factor,
+                                     stat_std_dev)
 from tests.conftest import spectrum_from_values
 
 
@@ -20,12 +21,12 @@ def make_fit(lambda_hat, sigma2, p, n):
 
 class TestInteractionTerm:
     def test_single_strength_empty_sum(self):
-        assert ec.interaction_term(1, np.array([5.0]), 1.0, 100) == 0.0
+        assert interaction_term(1, np.array([5.0]), 1.0, 100) == 0.0
 
     def test_hand_example(self):
         lam = np.array([5.0, 2.0])
-        assert ec.interaction_term(1, lam, 1.0, 100) == pytest.approx(0.06, abs=1e-14)
-        assert ec.interaction_term(2, lam, 1.0, 100) == pytest.approx(-0.06, abs=1e-14)
+        assert interaction_term(1, lam, 1.0, 100) == pytest.approx(0.06, abs=1e-14)
+        assert interaction_term(2, lam, 1.0, 100) == pytest.approx(-0.06, abs=1e-14)
 
     def test_smallest_strength_always_negative(self):
         rng = np.random.RandomState(21)
@@ -34,7 +35,7 @@ class TestInteractionTerm:
             lam = np.sort(rng.uniform(0.5, 20.0, size=q))[::-1]
             if np.min(-np.diff(lam)) < 1e-3:
                 lam = lam + np.arange(q)[::-1] * 1e-2  # enforce clear gaps
-            assert ec.interaction_term(q, lam, 1.0, 50) < 0.0
+            assert interaction_term(q, lam, 1.0, 50) < 0.0
 
     def test_pairwise_antisymmetry(self):
         """The (i, j) summand is minus the (j, i) summand, so the terms sum
@@ -43,7 +44,7 @@ class TestInteractionTerm:
         for _ in range(50):
             lam = np.sort(rng.uniform(1.0, 10.0, size=5))[::-1]
             sigma2, n = rng.uniform(0.5, 2.0), 40
-            total = sum(ec.interaction_term(i, lam, sigma2, n) for i in range(1, 6))
+            total = sum(interaction_term(i, lam, sigma2, n) for i in range(1, 6))
             assert total == pytest.approx(0.0, abs=1e-10)
             for i in range(5):
                 for j in range(i + 1, 5):
@@ -53,13 +54,13 @@ class TestInteractionTerm:
 
     def test_tie_clamp_keeps_result_finite(self):
         lam = np.array([5.0, 5.0])
-        value = ec.interaction_term(2, lam, 1.0, 100)
+        value = interaction_term(2, lam, 1.0, 100)
         clamp = TIE_CLAMP_SCALE * 5.0
         assert value == pytest.approx(-36.0 / clamp / 100.0, rel=1e-12)
 
     def test_index_validation(self):
         with pytest.raises(InvalidInputError):
-            ec.interaction_term(3, np.array([2.0, 1.0]), 1.0, 10)
+            interaction_term(3, np.array([2.0, 1.0]), 1.0, 10)
 
     def test_matches_array_reference_bit_for_bit(self):
         """The float loop against the np.float64 loop it replaces, ties and
@@ -82,7 +83,7 @@ class TestInteractionTerm:
                         if abs(gap) < clamp:
                             gap = -clamp if j < i - 1 else clamp
                         total += (lam[j] + sigma2) * (lam_i + sigma2) / gap
-                value = ec.interaction_term(i, lam, sigma2, n)
+                value = interaction_term(i, lam, sigma2, n)
                 assert type(value) is np.float64
                 assert repr(value) == repr(total / n)
 
@@ -93,30 +94,30 @@ class TestInteractionTerm:
         scale = 2.0 ** power
         lam = np.array([9.0, 5.0, 5.0, 1.5])
         for i in range(1, 5):
-            unit = ec.interaction_term(i, lam, 1.2, 40)
-            value = ec.interaction_term(i, lam * scale, 1.2 * scale, 40)
+            unit = interaction_term(i, lam, 1.2, 40)
+            value = interaction_term(i, lam * scale, 1.2 * scale, 40)
             assert math.isfinite(value)
             assert value / scale == pytest.approx(unit, rel=1e-12)
 
 
 class TestKappaFactor:
     def test_example(self):
-        assert ec.kappa_factor(5.0, 1.0, p=100, q=2, n=200) == pytest.approx(1.098, abs=1e-14)
+        assert kappa_factor(5.0, 1.0, p=100, q=2, n=200) == pytest.approx(1.098, abs=1e-14)
 
     def test_no_noise_dimensions(self):
-        assert ec.kappa_factor(5.0, 1.0, p=7, q=7, n=200) == 1.0
+        assert kappa_factor(5.0, 1.0, p=7, q=7, n=200) == 1.0
 
     def test_vanishing_correction(self):
-        assert ec.kappa_factor(1e12, 1.0, p=100, q=2, n=200) == pytest.approx(1.0, abs=1e-10)
+        assert kappa_factor(1e12, 1.0, p=100, q=2, n=200) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_nonpositive_strength(self):
         with pytest.raises(InvalidInputError):
-            ec.kappa_factor(0.0, 1.0, 10, 1, 10)
+            kappa_factor(0.0, 1.0, 10, 1, 10)
 
 
 class TestStatStdDev:
     def test_example(self):
-        delta, valid = ec.stat_std_dev(5.0, 1.0, p=100, q=2, n=200, beta=1)
+        delta, valid = stat_std_dev(5.0, 1.0, p=100, q=2, n=200, beta=1)
         kappa = 1.098
         expected = 6.0 / kappa * math.sqrt(0.01 * (1.0 - 0.49 / 25.0))
         assert valid
@@ -124,15 +125,15 @@ class TestStatStdDev:
         assert delta == pytest.approx(0.54104, abs=1e-4)
 
     def test_no_noise_dimensions(self):
-        delta, valid = ec.stat_std_dev(3.0, 1.0, p=5, q=5, n=50, beta=2)
+        delta, valid = stat_std_dev(3.0, 1.0, p=5, q=5, n=50, beta=2)
         assert valid
         assert delta == pytest.approx(4.0 * math.sqrt(2.0 / (2 * 50)), rel=1e-12)
 
     def test_subcritical_clamp(self):
         threshold = math.sqrt(98.0 / 200.0)
-        delta, valid = ec.stat_std_dev(0.5 * threshold, 1.0, p=100, q=2, n=200)
+        delta, valid = stat_std_dev(0.5 * threshold, 1.0, p=100, q=2, n=200)
         assert not valid
-        kappa = ec.kappa_factor(0.5 * threshold, 1.0, 100, 2, 200)
+        kappa = kappa_factor(0.5 * threshold, 1.0, 100, 2, 200)
         expected = (0.5 * threshold + 1.0) / kappa * math.sqrt(1e-12 * 0.01)
         assert delta == pytest.approx(expected, rel=1e-9)
 
@@ -194,31 +195,53 @@ class TestStatStdDevRange:
         """Squares that overflow or underflow to zero give the unit-scale
         result, scaled, not an arithmetic exception."""
         for lam, sigma2 in ((5.0, 1.0), (0.3, 1.0)):
-            delta, valid = ec.stat_std_dev(lam * scale, sigma2 * scale, 100, 2, 200)
-            unit_delta, unit_valid = ec.stat_std_dev(lam, sigma2, 100, 2, 200)
+            delta, valid = stat_std_dev(lam * scale, sigma2 * scale, 100, 2, 200)
+            unit_delta, unit_valid = stat_std_dev(lam, sigma2, 100, 2, 200)
             assert valid == unit_valid
             assert delta / scale == pytest.approx(unit_delta, rel=1e-12)
 
     def test_strength_far_below_noise_is_clamped(self):
-        delta, valid = ec.stat_std_dev(1e-300, 1e10, 100, 2, 200)
+        delta, valid = stat_std_dev(1e-300, 1e10, 100, 2, 200)
         assert not valid and math.isfinite(delta)
+
+
+class TestFluctuationParams:
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales(self, scale):
+        """lam = sigma2 = scale: the unit-scale mean and deviation, scaled,
+        not a raw OverflowError or ZeroDivisionError."""
+        unit = ec.fluctuation_params(1.0, 1.0, 100, 200, 2)
+        tau, delta = ec.fluctuation_params(scale, scale, 100, 200, 2)
+        assert math.isfinite(tau) and math.isfinite(delta)
+        assert tau / scale == pytest.approx(unit[0], rel=1e-12)
+        assert delta / scale == pytest.approx(unit[1], rel=1e-12)
+
+    def test_built_from_the_statistic_formulas(self):
+        kappa = kappa_factor(5.0, 1.0, 100, 2, 200)
+        delta, _ = stat_std_dev(5.0, 1.0, 100, 2, 200, beta=2)
+        assert ec.fluctuation_params(5.0, 1.0, 100, 200, 2, beta=2) == \
+            ((5.0 + 1.0) * kappa, delta * kappa)
+
+    def test_rejects_non_positive_noise(self):
+        with pytest.raises(InvalidInputError):
+            ec.fluctuation_params(5.0, 0.0, 100, 200, 2)
 
 
 class TestSignalThreshold:
     def test_alpha0_half_is_detection_limit(self):
-        delta, _ = ec.stat_std_dev(5.0, 1.0, 60, 1, 120)
+        delta, _ = stat_std_dev(5.0, 1.0, 60, 1, 120)
         threshold = _z_threshold(1.0, 0.5, delta, alpha0=0.5)
         assert threshold == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
     def test_hand_composition(self):
-        delta, _ = ec.stat_std_dev(5.0, 1.0, 100, 2, 200)
+        delta, _ = stat_std_dev(5.0, 1.0, 100, 2, 200)
         expected = math.sqrt(0.5) + delta * 2.5758293035489004
         assert _z_threshold(1.0, 0.5, delta, 0.995) == pytest.approx(expected, rel=1e-9)
         assert _z_threshold(1.0, 0.5, delta, 0.995) == pytest.approx(2.10075, abs=1e-4)
 
     def test_clamped_delta_recovers_detection_limit(self):
         subcritical = 0.3 * math.sqrt(98.0 / 200.0)
-        delta, valid = ec.stat_std_dev(subcritical, 1.0, 100, 2, 200)
+        delta, valid = stat_std_dev(subcritical, 1.0, 100, 2, 200)
         assert not valid
         threshold = _z_threshold(1.0, 0.5, delta, 0.995)
         assert threshold == pytest.approx(ec.detection_limit(1.0, 0.5), abs=1e-5)

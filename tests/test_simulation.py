@@ -277,6 +277,22 @@ class TestScenarioParsing:
         assert spec.n_list == (30, 60)
         assert [point[1] for point in spec.sweep_points()] == [60, 60]
 
+    def test_explicit_n_list_wins_over_comma_n(self):
+        spec = parse_scenario("p = 60\nn = 30, 60\nn_list = 90, 120\nlambda = 5")
+        assert spec.n_list == (90, 120) and spec.n is None
+        spec = parse_scenario("p = 60\nn = 30\nn_list = 90\nlambda = 5")
+        assert spec.n == 30 and spec.n_list == (90,)
+
+    def test_unknown_key_rejected_before_preset_is_built(self):
+        with pytest.raises(InvalidInputError, match="bogus"):
+            parse_scenario("preset = nonesuch\nbogus = 3")
+
+    @pytest.mark.parametrize("text", ["p = 2x\nn = 4", "p = 20\nn = 40\nlambda = 5, x",
+                                      "p_list = 20, y\ngamma = 0.5", "p = 20\nn = 40\ntrials = 1.5"])
+    def test_malformed_value_is_typed(self, text):
+        with pytest.raises(InvalidInputError, match="malformed scenario value"):
+            parse_scenario(text)
+
     def test_unknown_key_named_in_error(self):
         with pytest.raises(InvalidInputError, match="bogus"):
             parse_scenario("bogus = 3")

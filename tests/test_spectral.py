@@ -172,6 +172,19 @@ class TestTypes:
         np.testing.assert_allclose(spectrum.eigenvalues, [3.0, 3.0, 2.0, 1.0])
         assert spectrum.gamma == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("p, n", [(5, 10), (10, 5), (6, 6), (1, 3), (3, 1)])
+    def test_kmax_bounds_scans_and_criteria(self, p, n):
+        """Each eigenvalue 1e3 times the next: rmt and sns accept every step,
+        so they run to kmax = min(p, n) - 1 and stop there; the information
+        criteria score k = 0..kmax."""
+        from eigencount.estimators import _likelihood_terms
+        spectrum = Spectrum(1e3 ** np.arange(p, 0, -1.0), p, n)
+        assert spectrum.kmax == min(p, n) - 1
+        for method in ("rmt", "sns"):
+            result = ec.estimate(spectrum, method)
+            assert result.q_hat == len(result.trace.rows) == spectrum.kmax
+        assert _likelihood_terms(spectrum)[0].size == spectrum.kmax + 1
+
     def test_spectrum_rejects_disorder(self):
         with pytest.raises(InvalidInputError):
             Spectrum(np.array([1.0, 2.0]), 2, 4)

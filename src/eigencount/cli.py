@@ -204,7 +204,8 @@ def build_parser() -> _Parser:
     sweep.add_argument("--methods", default=None,
                        help="comma-separated method subset")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the trial loop")
+                       help="processes counting trials, this one included "
+                            "(a pool of jobs - 1 workers)")
     sweep.add_argument("--out", default=None, help="result CSV path")
     sweep.set_defaults(func=_cmd_sweep)
 

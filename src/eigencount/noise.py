@@ -71,27 +71,41 @@ def _spike_roots(leading, sigma2: float, shift: float) -> tuple[list[float], lis
     range the unscaled expression is used.  (4 l sigma2 is formed as
     l * (4 sigma2): scaling by 4 is exact, so that is the same float.)
     """
+    _check_roots_args(leading, sigma2)
+    roots, degenerate, _ = _roots_pass(leading, sigma2, shift)
+    return roots, degenerate
+
+
+def _check_roots_args(leading, sigma2: float) -> None:
     if sigma2 <= 0.0 or min(leading) <= 0.0:
         raise InvalidInputError("need l > 0 and sigma2 > 0")
+
+
+def _roots_pass(leading, sigma2: float,
+                shift: float) -> tuple[list[float], list[bool], list[float]]:
+    """_spike_roots without the argument check, plus the terms l - rho.
+
+    One pass yields everything a fixed-point iteration or a fit reads, so
+    the quadratic is written once.
+    """
     bias = sigma2 * shift
     four_sigma2 = 4.0 * sigma2
-    roots, degenerate = [], []
+    roots, degenerate, excess = [], [], []
     for l in leading:
         b = l + bias
         square, product = b * b, l * four_sigma2
         if FLOAT_MIN <= square <= FLOAT_MAX and FLOAT_MIN <= product <= FLOAT_MAX:
             disc = square - product
             if disc < 0.0:
-                roots.append(b / 2.0)
-                degenerate.append(True)
+                root, flag = b / 2.0, True
             else:
-                roots.append((b + math.sqrt(disc)) / 2.0)
-                degenerate.append(False)
+                root, flag = (b + math.sqrt(disc)) / 2.0, False
         else:
             root, flag = _scaled_root(l, b, sigma2)
-            roots.append(root)
-            degenerate.append(flag)
-    return roots, degenerate
+        roots.append(root)
+        degenerate.append(flag)
+        excess.append(l - root)
+    return roots, degenerate, excess
 
 
 def _scaled_root(l: float, b: float, sigma2: float) -> tuple[float, bool]:
@@ -163,7 +177,8 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
 
     Every sum is formed in numpy's order (_pairwise_sum), and the
     initialiser tail_sum / (p - k) is how numpy forms the mean, so the fit
-    is bit-identical to the same iteration on float64 arrays.
+    is bit-identical to the same iteration on float64 arrays.  The roots'
+    arguments are checked once: every later noise iterate is positive.
     """
     p, n = spectrum.p, spectrum.n
     if not 0 <= k <= spectrum.kmax:
@@ -171,8 +186,11 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
     vals = spectrum.eigenvalues
     tail_sum = float(vals[k:].sum())
     sigma2_init = tail_sum / (p - k)
+    leading = vals[:k].tolist()
+    shift = 1.0 - (p - k) / n
 
-    def fit(sigma2, rho, degenerate, converged, iterations):
+    def fit(sigma2, converged, iterations):
+        rho, degenerate, _ = _roots_pass(leading, sigma2, shift)
         rho_hat = np.array(rho, dtype=float)
         lambda_hat = rho_hat - sigma2
         degenerate_roots = np.array(degenerate, dtype=bool)
@@ -184,21 +202,17 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
                         p=p, n=n)
 
     if k == 0:
-        return fit(sigma2_init, [], [], True, 0)
+        return fit(sigma2_init, True, 0)
 
-    leading = vals[:k].tolist()
-    shift = 1.0 - (p - k) / n
+    _check_roots_args(leading, sigma2_init)
     sigma2 = sigma2_init
     for iteration in range(1, max_iter + 1):
-        rho, _ = _spike_roots(leading, sigma2, shift)
-        excess = _pairwise_sum([l - r for l, r in zip(leading, rho)])
+        excess = _pairwise_sum(_roots_pass(leading, sigma2, shift)[2])
         sigma2_new = (tail_sum + excess) / (p - k)
         if sigma2_new <= 0.0:
-            return fit(sigma2_init, *_spike_roots(leading, sigma2_init, shift),
-                       False, iteration)
+            return fit(sigma2_init, False, iteration)
         if abs(sigma2_new - sigma2) < tol * sigma2_new:
-            return fit(sigma2_new, *_spike_roots(leading, sigma2_new, shift),
-                       True, iteration)
+            return fit(sigma2_new, True, iteration)
         sigma2 = sigma2_new
 
-    return fit(sigma2_init, *_spike_roots(leading, sigma2_init, shift), False, max_iter)
+    return fit(sigma2_init, False, max_iter)

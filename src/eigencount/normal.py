@@ -44,28 +44,42 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT2PI
 
 
-def _acklam(p):
-    """Raw rational approximation of Phi^{-1}(p); works on scalars or arrays."""
-    p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
+def _tail_ratio(q: np.ndarray) -> np.ndarray:
+    """Acklam's tail rational function of q = sqrt(-2 log(tail mass))."""
+    return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+        ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+
+
+def _acklam(p: np.ndarray) -> np.ndarray:
+    """Raw rational approximation of Phi^{-1}(p) for a float array p.
+
+    The central rational function is evaluated over the whole array by
+    in-place Horner steps; the tail entries (about 5 % of uniform draws)
+    are then overwritten from their masks.  Every entry sees the same
+    operations in the same order as it would in a per-region evaluation,
+    so its bits do not depend on the rest of the array.
+    """
+    q = p - 0.5
+    r = q * q
+    x = np.multiply(r, _A[0])
+    for a in _A[1:-1]:
+        x += a
+        x *= r
+    x += _A[-1]
+    x *= q
+    den = np.multiply(r, _B[0], out=q)  # q is spent; its buffer takes the denominator
+    for b in _B[1:]:
+        den += b
+        den *= r
+    den += 1.0
+    x /= den
 
     low = p < _P_LOW
+    if low.any():
+        x[low] = _tail_ratio(np.sqrt(-2.0 * np.log(p[low])))
     high = p > 1.0 - _P_LOW
-    mid = ~(low | high)
-
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        x[low] = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-                 ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log1p(-p[high]))
-        x[high] = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-                  ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        x[mid] = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-                 (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+    if high.any():
+        x[high] = -_tail_ratio(np.sqrt(-2.0 * np.log1p(-p[high])))
     return x
 
 
@@ -73,7 +87,7 @@ def norm_ppf(p: float) -> float:
     """Phi^{-1}(p) with one Newton polish through the erfc kernel."""
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"probability must lie in (0, 1), got {p}")
-    x = float(_acklam(p))
+    x = float(_acklam(np.array([p], dtype=float))[0])
     # Newton step on Phi(x) - p = 0; evaluate the residual on the side of
     # the distribution where erfc keeps full relative accuracy.
     if p < 0.5:
@@ -93,15 +107,26 @@ def norm_ppf_array(p: np.ndarray) -> np.ndarray:
     # above.  Multiplying by -1 or +1 is exact, so one erfc call serves both
     # sides with bit-identical x (a zero residual may flip sign, which leaves
     # x unchanged).  The signs are products because a masked negation on a
-    # random mask costs about as much as erfc itself.
+    # random mask costs about as much as erfc itself.  Three buffers besides
+    # x are reused throughout.
     lower = p < 0.5
-    err = (1.0 - 2.0 * lower) * x
-    err /= _SQRT2
+    sign = np.multiply(lower, 2.0)
+    sign -= 1.0  # +1 below 0.5, -1 above
+    err = np.multiply(x, sign)
+    err /= -_SQRT2
     _erfc_array(err, out=err)
     err *= 0.5
-    err -= np.where(lower, p, 1.0 - p)
-    err *= 2.0 * lower - 1.0
-    x -= err * _SQRT2PI * np.exp(0.5 * x * x)
+    side = np.subtract(1.0, p)
+    np.copyto(side, p, where=lower)
+    err -= side
+    err *= sign
+    # x -= (err * sqrt(2 pi)) * exp((0.5 * x) * x), in that association.
+    err *= _SQRT2PI
+    np.multiply(x, 0.5, out=side)
+    side *= x
+    np.exp(side, out=side)
+    err *= side
+    x -= err
     return x
 
 

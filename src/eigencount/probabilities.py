@@ -163,8 +163,13 @@ def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
 
     if with_interaction:
         edge_scale = sigma2 * sc
-        # A subnormal noise level can take sigma2 * sc down to zero.
-        offset = stat.v / edge_scale if edge_scale else stat.v / sigma2 / sc
+        # A subnormal noise level can take sigma2 * sc down to zero.  stat.v
+        # is an np.float64 (see interaction_term); divided as a Python float
+        # it gives the same bits, and where the quotient leaves the float
+        # range it saturates to the same +-inf without numpy's overflow
+        # warning.
+        v = float(stat.v)
+        offset = v / edge_scale if edge_scale else v / sigma2 / sc
         p_false = 1.0 - tw_cdf(_s_alpha(ctx.alpha, ctx.beta) - offset, ctx.beta)
     else:
         p_false = ctx.alpha
@@ -184,7 +189,9 @@ def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
     else:
         p_miss = norm_cdf(_q_inv(ctx.alpha0) + stat.v / (stat.kappa * stat.delta))
 
-    v = stat.v if with_interaction else 0.0
+    # A Python float v, as in pe_rmt: same bits, and an argument out of the
+    # float range saturates to +-inf without a warning.
+    v = float(stat.v) if with_interaction else 0.0
     sigma2, mu, sc, _ = ctx._edge(assume_signal)
     p_false = 1.0 - tw_cdf(((ctx._theta_srmt + v) / sigma2 - mu) / sc, ctx.beta)
     return ProbPair(p_miss=p_miss, p_false=p_false)

@@ -229,26 +229,31 @@ def _count_block(args) -> dict[int, dict[str, list[int]]]:
 def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     """Run all trials at every sweep point and aggregate misdetections.
 
-    With jobs > 1 the (point, trial) items of the whole sweep are split into
-    contiguous blocks whose sizes differ by at most one, and one process pool
-    of min(jobs, items) workers counts one block each; the pool is shut down
-    and its workers joined before the call returns.  Aggregation is a
-    commutative count merge, so the result is identical for any execution
-    order and any number of worker processes.
+    jobs is the number of processes that count trials, the caller included.
+    The (point, trial) items of the whole sweep are split into
+    workers = min(jobs, items) contiguous blocks whose sizes differ by at
+    most one.  The caller counts block 0 while, for workers > 1, one process
+    pool of workers - 1 processes counts the others, one block each; the
+    pool is shut down and its processes joined before the call returns,
+    also when a block raises.  Aggregation is a commutative count merge, so
+    the result is identical for any execution order and any number of
+    processes.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     points = spec.sweep_points()
     total = len(points) * spec.trials
     workers = min(jobs, total)
+    size, extra = divmod(total, workers)
+    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
+    blocks = [(spec, points, start, stop) for start, stop in zip(bounds, bounds[1:])]
     if workers > 1:
-        size, extra = divmod(total, workers)
-        bounds = [i * size + min(i, extra) for i in range(workers + 1)]
-        blocks = [(spec, points, start, stop) for start, stop in zip(bounds, bounds[1:])]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_count_block, blocks))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            # map submits every block before the caller starts on its own.
+            others = pool.map(_count_block, blocks[1:])
+            partials = [_count_block(blocks[0]), *others]
     else:
-        partials = [_count_block((spec, points, 0, total))]
+        partials = [_count_block(blocks[0])]
     totals = {point: {m: [0, 0] for m in spec.methods} for point in range(len(points))}
     for partial in partials:
         for point, counts in partial.items():

@@ -144,14 +144,20 @@ class PopulationModel:
 def sample_covariance(data: np.ndarray) -> np.ndarray:
     """(1/n) * sum_i x(i) x(i)^T for a p x n snapshot matrix.
 
-    The result is symmetrised exactly, so S == S.T holds bitwise.
+    The result is symmetric bitwise, S == S.T.  numpy's data @ data.T
+    already is, and is then returned as it is; otherwise it is symmetrised
+    as (S + S.T) / 2.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.size == 0:
         raise InvalidInputError("snapshot data must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(data)):
-        raise InvalidInputError("snapshot data contains non-finite entries")
     s = data @ data.T / data.shape[1]
+    # A NaN or Inf anywhere in row i of data makes s_ii = sum_j x_ij^2 / n
+    # non-finite, so data needs its own scan only when the diagonal is.
+    if not np.isfinite(s.diagonal()).all() and not np.isfinite(data).all():
+        raise InvalidInputError("snapshot data contains non-finite entries")
+    if np.array_equal(s, s.T):
+        return s
     return (s + s.T) / 2.0
 
 
@@ -159,18 +165,20 @@ def eig_sym_desc(matrix: np.ndarray, n: int) -> Spectrum:
     """Eigenvalues of a symmetric matrix, descending, as a Spectrum.
 
     The input must be symmetric to within SYMMETRY_RTOL (relative, max-norm);
-    it is symmetrised before decomposition.  Slightly negative eigenvalues
-    from round-off are clamped to zero.
+    it is symmetrised before decomposition unless it is exactly symmetric
+    already, as sample_covariance's output is.  Slightly negative
+    eigenvalues from round-off are clamped to zero.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError("matrix must be square")
-    scale = np.abs(m).max()
-    if scale > 0.0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
-        raise InvalidInputError("matrix is not symmetric within tolerance")
-    sym = (m + m.T) / 2.0
+    if not np.array_equal(m, m.T):  # a NaN entry also lands here
+        scale = np.abs(m).max()
+        if scale > 0.0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
+            raise InvalidInputError("matrix is not symmetric within tolerance")
+        m = (m + m.T) / 2.0
     try:
-        w = np.linalg.eigvalsh(sym)
+        w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigendecomposition failed: {exc}") from exc
     return Spectrum(w[::-1].copy(), m.shape[0], n)

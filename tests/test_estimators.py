@@ -302,8 +302,10 @@ def scan_spectra(draw):
     return spectrum_from_values(values, draw(st.integers(1, 40)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestScanProperties:
-    """Invariants of the sequential scan shared by rmt, srmt and sns."""
+    """Invariants of the sequential scan shared by rmt, srmt and sns; a
+    numpy warning on the way fails them too."""
 
     @settings(max_examples=40, deadline=None)
     @given(spectrum=scan_spectra())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.noise import DEFAULT_TOL, _fixed_point, _spike_roots
+from eigencount.spectral import Spectrum
 from tests.conftest import sampled_spectrum, spectrum_from_values
 
 
@@ -308,3 +310,91 @@ class TestSpikeRootRange:
         spectrum = spectrum_from_values([8.72e154, 1.05e129], 11)
         fit = ec.estimate_noise_and_spikes(spectrum, 1)
         assert np.all(np.isfinite(fit.lambda_hat)) and math.isfinite(fit.sigma2_hat)
+
+
+def _reference_spike_roots(leading, sigma2, shift, scaled):
+    """A standalone copy of the spike quadratic, the reference for the
+    fit's roots pass; appends to scaled each l whose root took the scaled
+    form."""
+    if sigma2 <= 0.0 or min(leading) <= 0.0:
+        raise InvalidInputError("need l > 0 and sigma2 > 0")
+    bias = sigma2 * shift
+    four_sigma2 = 4.0 * sigma2
+    roots, degenerate = [], []
+    for l in leading:
+        b = l + bias
+        square, product = b * b, l * four_sigma2
+        if ec.noise.FLOAT_MIN <= square <= ec.noise.FLOAT_MAX and \
+                ec.noise.FLOAT_MIN <= product <= ec.noise.FLOAT_MAX:
+            disc = square - product
+            root, flag = (b / 2.0, True) if disc < 0.0 else ((b + math.sqrt(disc)) / 2.0, False)
+        else:
+            scaled.append(l)
+            scale = abs(b)
+            unit_disc = 1.0 - 4.0 * (l / scale) * (sigma2 / scale) if scale else -1.0
+            if unit_disc < 0.0:
+                root, flag = b / 2.0, True
+            else:
+                root, flag = 0.5 * b + 0.5 * scale * math.sqrt(unit_disc), False
+        roots.append(root)
+        degenerate.append(flag)
+    return roots, degenerate
+
+
+def reference_float_iteration(spectrum, k, scaled, tol=DEFAULT_TOL,
+                              max_iter=ec.noise.DEFAULT_MAX_ITER):
+    """The float fixed point with the roots and their excess sum formed in
+    separate passes: (sigma2, rho, degenerate, converged, iterations)."""
+    p, n = spectrum.p, spectrum.n
+    vals = spectrum.eigenvalues
+    tail_sum = float(vals[k:].sum())
+    sigma2_init = tail_sum / (p - k)
+    if k == 0:
+        return sigma2_init, [], [], True, 0
+    leading = vals[:k].tolist()
+    shift = 1.0 - (p - k) / n
+
+    def roots(sigma2):
+        return _reference_spike_roots(leading, sigma2, shift, scaled)
+
+    sigma2 = sigma2_init
+    for iteration in range(1, max_iter + 1):
+        rho, _ = roots(sigma2)
+        excess = float(np.array([l - r for l, r in zip(leading, rho)]).sum())
+        sigma2_new = (tail_sum + excess) / (p - k)
+        if sigma2_new <= 0.0:
+            return (sigma2_init, *roots(sigma2_init), False, iteration)
+        if abs(sigma2_new - sigma2) < tol * sigma2_new:
+            return (sigma2_new, *roots(sigma2_new), True, iteration)
+        sigma2 = sigma2_new
+    return (sigma2_init, *roots(sigma2_init), False, max_iter)
+
+
+class TestOnePassIteration:
+    def test_fit_equals_two_pass_reference_on_golden_random_spectra(self):
+        """Every k of the golden random spectra, as they are and scaled by
+        2**-540 or 2**520, so that every root takes the scaled form."""
+        from tests.test_golden import _cases
+        seen = {"k": 0, "clamped": 0, "errors": 0}
+        scaled = []
+        for i, spectrum in enumerate(_cases("random")):
+            for factor in (1.0, 2.0**-540 if i % 2 else 2.0**520):
+                case = Spectrum(spectrum.eigenvalues * factor, spectrum.p, spectrum.n)
+                for k in range(case.kmax + 1):
+                    try:
+                        expected = reference_float_iteration(case, k, scaled)
+                    except InvalidInputError as exc:
+                        with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
+                            _fixed_point(case, k, DEFAULT_TOL, ec.noise.DEFAULT_MAX_ITER)
+                        seen["errors"] += 1
+                        continue
+                    fit = _fixed_point(case, k, DEFAULT_TOL, ec.noise.DEFAULT_MAX_ITER)
+                    sigma2, rho, degenerate, converged, iterations = expected
+                    assert repr(fit.sigma2_hat) == repr(sigma2)
+                    assert fit.rho_hat.tobytes() == np.array(rho, dtype=float).tobytes()
+                    assert fit.degenerate_roots.tolist() == degenerate
+                    assert (fit.converged, fit.iterations) == (converged, iterations)
+                    seen["k"] = max(seen["k"], k)
+                    seen["clamped"] += any(degenerate)
+        assert seen["k"] >= 8 and seen["clamped"] > 0 and seen["errors"] > 0
+        assert scaled

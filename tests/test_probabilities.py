@@ -131,6 +131,20 @@ class TestPeRmt:
                     assert 0.0 <= pair.p_false <= 1.0
 
 
+class TestScoreRange:
+    # Spectra over 1e-292..1e291: at k = 2 the interacted false-alarm
+    # scores have TW arguments beyond the float range, pe_rmt's through
+    # v / (sigma2 sc) (first) and pe_srmt's through (theta + v) / sigma2
+    # (second).  They saturate to +inf, so those p_false are 0.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values, n", [([5.7e+280, 2.85e+256, 6.66e-292], 30),
+                                           ([1.2e+291, 3.09e+20, 1.35e-288], 26)])
+    def test_out_of_range_arguments_saturate_silently(self, values, n):
+        ctx = make_ctx(ec.Spectrum.from_values(values, n), 2)
+        assert pe_rmt(ctx, with_interaction=True).p_false == 0.0
+        assert pe_srmt(ctx, with_interaction=True).p_false == 0.0
+
+
 class TestPeSrmt:
     def test_plain_miss_is_target_level(self):
         ctx = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200)

@@ -151,7 +151,8 @@ class TestSweepPool:
         serial = run_sweep(one_point)
         assert run_sweep(one_point, jobs=64) == serial
         assert run_sweep(self.SPEC, jobs=64) == run_sweep(self.SPEC)
-        assert inline_pools == [3, 15]
+        # The caller counts one block, so a pool has min(jobs, items) - 1 processes.
+        assert inline_pools == [2, 14]
 
     def test_one_pool_per_call_and_workers_joined(self, monkeypatch):
         opened = []
@@ -163,7 +164,25 @@ class TestSweepPool:
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
         run_sweep(self.SPEC, jobs=2)
-        assert opened == [2]
+        assert opened == [1]
+        assert multiprocessing.active_children() == []
+
+    def test_one_item_opens_no_pool(self, inline_pools):
+        one_item = replace(self.SPEC, p_list=(16,), trials=1)
+        assert run_sweep(one_item, jobs=2) == run_sweep(one_item)
+        assert inline_pools == []
+
+    def test_caller_block_error_propagates_and_workers_joined(self, monkeypatch):
+        # Item 0, trial 0 of point p = 16, is in the caller's block; the
+        # worker's block runs clean.
+        def run_trial_failing_on_item_0(spec, trial_index, p=None, n=None):
+            if (trial_index, p) == (0, 16):
+                raise ec.SolverError("item 0 failed")
+            return run_trial(spec, trial_index, p, n)
+
+        monkeypatch.setattr(simulation, "run_trial", run_trial_failing_on_item_0)
+        with pytest.raises(ec.SolverError, match="item 0 failed"):
+            run_sweep(self.SPEC, jobs=2)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("p_list, trials", [((16, 20, 24), 5), ((16,), 2)])

@@ -5,7 +5,7 @@ import pytest
 
 import eigencount as ec
 from eigencount.errors import DegenerateModelError, InvalidInputError
-from eigencount.spectral import SnapshotMatrix, Spectrum
+from eigencount.spectral import SYMMETRY_RTOL, SnapshotMatrix, Spectrum
 
 
 def brute_force_covariance(data):
@@ -56,6 +56,25 @@ class TestSampleCovariance:
         with pytest.raises(InvalidInputError):
             ec.sample_covariance(data)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p, n", [(8, 20), (60, 120), (30, 7), (2, 2)])
+    def test_bytes_equal_symmetrised_product(self, order, p, n):
+        # Returning the product as it is when it is exactly symmetric gives
+        # the bytes of the symmetrised product (s + s.T) / 2.
+        data = np.asarray(np.random.default_rng(p * n).standard_normal((p, n)), order=order)
+        s = data @ data.T / n
+        assert ec.sample_covariance(data).tobytes() == ((s + s.T) / 2.0).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape, where", [((4, 6), (1, 2)), ((4, 6), (3, 5)),
+                                              ((6, 3), (0, 0)), ((6, 3), (5, 1))])
+    def test_every_non_finite_entry_rejected(self, bad, shape, where):
+        data = np.ones(shape)
+        data[where] = bad
+        with pytest.raises(InvalidInputError, match="snapshot data contains non-finite entries"):
+            ec.sample_covariance(data)
+
 
 class TestEigSymDesc:
     def test_diagonal(self):
@@ -91,6 +110,41 @@ class TestEigSymDesc:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
             ec.eig_sym_desc(np.array([[1.0, 2.0], [0.0, 1.0]]), n=4)
+
+    @pytest.mark.parametrize("p, n", [(10, 20), (40, 20), (60, 60)])
+    def test_exact_and_near_symmetric_bytes(self, p, n):
+        # Both give the spectrum of the symmetrised (m + m.T) / 2.
+        rng = np.random.default_rng(p + n)
+        exact = ec.sample_covariance(rng.standard_normal((p, n)))
+        near = exact.copy()
+        near[0, 1] += 1e-12 * np.abs(exact).max()
+        for m in (exact, near):
+            w = np.linalg.eigvalsh((m + m.T) / 2.0)
+            expected = Spectrum(w[::-1].copy(), p, n).eigenvalues
+            assert ec.eig_sym_desc(m, n).eigenvalues.tobytes() == expected.tobytes()
+
+    def test_symmetry_tolerance_is_relative(self):
+        for scale in (1e-6, 1.0, 1e6):
+            m = np.array([[2.0, 1.0], [1.0, 2.0]]) * scale
+            m[0, 1] += 0.5 * SYMMETRY_RTOL * 2.0 * scale
+            ec.eig_sym_desc(m, n=4)
+            m[0, 1] += 2.0 * SYMMETRY_RTOL * 2.0 * scale
+            with pytest.raises(InvalidInputError, match="not symmetric"):
+                ec.eig_sym_desc(m, n=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        for mirrored in (False, True):
+            m = np.eye(3)
+            m[0, 1] = bad
+            if mirrored:
+                m[1, 0] = bad
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                ec.eig_sym_desc(m, n=5)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InvalidInputError):
+            ec.eig_sym_desc(np.zeros((0, 0)), n=5)
 
     def test_tiny_negative_eigenvalue_clamped(self):
         spectrum = ec.eig_sym_desc(np.diag([1.0, -5e-11]), n=4)

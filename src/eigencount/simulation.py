@@ -10,14 +10,13 @@ of execution order -- trials can run in any order or in parallel.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig
-from .normal import norm_ppf_array
+from .normal import _erfc_array, norm_ppf_array
 from .spectral import PopulationModel, SnapshotMatrix, eig_sym_desc, sample_covariance
 
 DESK_TRIALS = 1000
@@ -226,6 +225,16 @@ def _count_block(args) -> dict[int, dict[str, list[int]]]:
     return counts
 
 
+def _process_pool(max_workers: int):
+    """The process pool of a parallel sweep.
+
+    Its module, and multiprocessing with it, is imported here on the first
+    parallel sweep rather than with the package.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     """Run all trials at every sweep point and aggregate misdetections.
 
@@ -235,9 +244,10 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     most one.  The caller counts block 0 while, for workers > 1, one process
     pool of workers - 1 processes counts the others, one block each; the
     pool is shut down and its processes joined before the call returns,
-    also when a block raises.  Aggregation is a commutative count merge, so
-    the result is identical for any execution order and any number of
-    processes.
+    also when a block raises.  The draw's erfc kernel is loaded before the
+    pool forks, so the workers inherit it and never import scipy
+    themselves.  Aggregation is a commutative count merge, so the result is
+    identical for any execution order and any number of processes.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
@@ -248,7 +258,8 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     bounds = [i * size + min(i, extra) for i in range(workers + 1)]
     blocks = [(spec, points, start, stop) for start, stop in zip(bounds, bounds[1:])]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        _erfc_array()
+        with _process_pool(workers - 1) as pool:
             # map submits every block before the caller starts on its own.
             others = pool.map(_count_block, blocks[1:])
             partials = [_count_block(blocks[0]), *others]

@@ -11,8 +11,9 @@ import numpy as np
 from .errors import DegenerateModelError, InvalidInputError, SolverError
 
 # Eigenvalues of a PSD matrix may round off slightly negative; anything in
-# [-NEG_CLAMP, 0) is clamped to 0, anything lower is rejected.
-NEG_CLAMP = 1e-10
+# [-NEG_RTOL * scale, 0) is clamped to 0, anything lower is rejected, where
+# scale is the largest eigenvalue magnitude.
+NEG_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 SORT_RTOL = 1e-12
 
@@ -67,11 +68,12 @@ class Spectrum:
             raise InvalidInputError("sample count must be positive")
         if not np.all(np.isfinite(vals)):
             raise InvalidInputError("eigenvalues contain non-finite entries")
-        # Round-off tolerance relative to the largest magnitude, so the
-        # check means the same at every scale.
-        if np.any(np.diff(vals) > SORT_RTOL * float(np.abs(vals).max())):
+        # Round-off tolerances relative to the largest magnitude, so the
+        # checks mean the same at every scale.
+        scale = float(np.abs(vals).max())
+        if np.any(np.diff(vals) > SORT_RTOL * scale):
             raise InvalidInputError("eigenvalues must be sorted in descending order")
-        if np.any(vals < -NEG_CLAMP):
+        if np.any(vals < -NEG_RTOL * scale):
             raise InvalidInputError(
                 f"eigenvalue {vals.min():g} below the PSD round-off tolerance")
         vals = np.where(vals < 0.0, 0.0, vals)

@@ -380,6 +380,20 @@ class TestInvarianceProperties:
         for method in ("rmt", "srmt", "sns"):
             assert scan_outcome(scaled, method) == scan_outcome(spectrum, method)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), extra=st.integers(1, 12), power=st.integers(-30, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scale_invariance_of_rank_deficient_snapshots(self, n, extra, power, seed):
+        """p > n: the p - n structural zeros round off to either sign, and
+        a scaled copy of the data is accepted whenever the data is."""
+        data = np.random.default_rng(seed).standard_normal((n + extra, n))
+        spectrum = ec.eig_sym_desc(ec.sample_covariance(data), n)
+        scaled = ec.eig_sym_desc(ec.sample_covariance(data * 2.0 ** power), n)
+        for method in ("rmt", "srmt", "sns"):
+            assert scan_outcome(scaled, method) == scan_outcome(spectrum, method)
+        for method in ("aic", "mdl", "maic"):
+            assert ec.estimate(scaled, method).q_hat == ec.estimate(spectrum, method).q_hat
+
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(EIGENVALUES, min_size=2, max_size=12),
            n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))

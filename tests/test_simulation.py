@@ -133,7 +133,7 @@ def inline_pools(monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulation, "_process_pool", InlinePool)
     return opened
 
 
@@ -162,7 +162,7 @@ class TestSweepPool:
                 opened.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(simulation, "_process_pool", CountingPool)
         run_sweep(self.SPEC, jobs=2)
         assert opened == [1]
         assert multiprocessing.active_children() == []

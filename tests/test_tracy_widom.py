@@ -6,6 +6,7 @@ Fredholm-determinant computation (agreement ~1e-8) and against published
 high-precision moments of both laws.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -186,22 +187,65 @@ def _bits(x):
     return np.float64(x).view(np.int64)
 
 
+def _table_grid():
+    return tw_table(1).grid
+
+
+def _probe_points():
+    """Grid nodes, midpoints, 0.3-points, +-1 ulp at both table ends,
+    points outside the table and +-inf."""
+    grid = _table_grid()
+    tiny = np.spacing(np.abs(grid[[0, -1]]))
+    return np.concatenate([
+        grid,
+        0.5 * (grid[:-1] + grid[1:]),
+        grid[:-1] + 0.3 * np.diff(grid),
+        [grid[0] - tiny[0], grid[0] + tiny[0],
+         grid[-1] - tiny[1], grid[-1] + tiny[1],
+         grid[0] - 1.0, grid[-1] + 1.0,
+         -np.inf, np.inf],
+    ])
+
+
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+QUANTILE_ALPHAS = (0.05, 0.01, 0.005, 0.001)
+# sha256 of the float64 bytes of the table grid, of tw_cdf on _probe_points()
+# (array path, then the scalar path point by point) and of tw_quantile at
+# QUANTILE_ALPHAS.  A change meant to keep the TW arithmetic must keep them.
+GOLDEN_GRID = "06a2d12183c2f6b31b991589b010703cfab1297902bf4a57f059ff0737b0c490"
+GOLDEN_TW = {
+    1: ("5cee25996204083e91fc12f9cc15ced58291b6d44aa045d9be08943aa7b55735",
+        "53e001a598a32b56c5a7801016ee090a3f4e2c9aeecac588678977104f5eda0b"),
+    2: ("b9efa989c85deadcc16a915ad764e21b832f49f89e7cd012c4a413b9fa73a898",
+        "17a6c4e30851485a925303800ec94b819fcdbc21f783bb67baaeeee72828d1d3"),
+}
+
+
+class TestGoldenBits:
+    def test_grid(self):
+        assert _sha256(_table_grid()) == GOLDEN_GRID
+
+    @pytest.mark.parametrize("beta", (1, 2))
+    def test_cdf_on_both_paths(self, beta):
+        points = _probe_points()
+        assert _sha256(ec.tw_cdf(points, beta)) == GOLDEN_TW[beta][0]
+        assert _sha256([ec.tw_cdf(float(x), beta) for x in points]) == GOLDEN_TW[beta][0]
+
+    @pytest.mark.parametrize("beta", (1, 2))
+    def test_quantiles(self, beta):
+        values = [ec.tw_quantile(alpha, beta) for alpha in QUANTILE_ALPHAS]
+        assert _sha256(values) == GOLDEN_TW[beta][1]
+
+
 class TestScalarCdfPath:
     """Scalar calls take a pure-Python path; it must match the array path."""
 
     @pytest.mark.parametrize("beta", (1, 2))
     def test_scalar_equals_array_bit_for_bit(self, beta):
-        grid = tw_table(beta).grid
-        tiny = np.spacing(np.abs(grid[[0, -1]]))
-        points = np.concatenate([
-            grid,                                      # grid nodes
-            0.5 * (grid[:-1] + grid[1:]),              # midpoints
-            grid[:-1] + 0.3 * np.diff(grid),
-            [grid[0] - tiny[0], grid[0] + tiny[0],     # +- the edges
-             grid[-1] - tiny[1], grid[-1] + tiny[1],
-             grid[0] - 1.0, grid[-1] + 1.0,            # outside the table
-             -np.inf, np.inf],
-        ])
+        points = _probe_points()
         array_values = ec.tw_cdf(points, beta)
         for x, expected in zip(points, array_values):
             for scalar in (float(x), np.float64(x)):

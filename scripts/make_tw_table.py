@@ -160,7 +160,8 @@ def main(argv=None):
         '"""Tracy-Widom CDF table for beta in {1, 2}.',
         "",
         "Generated by scripts/make_tw_table.py (Painleve II / Hastings-McLeod",
-        "integration); do not edit by hand.",
+        "integration); do not edit by hand.  The CDF columns are tabulated on the",
+        "grid np.round(np.arange(X_MIN, X_MAX + STEP / 2, STEP), 6).",
         '"""',
         "",
         f"X_MIN = {X_MIN!r}",
@@ -175,7 +176,6 @@ def main(argv=None):
         )
         return f"{name} = (\n    {body},\n)\n"
 
-    lines.append(fmt(grid, "GRID"))
     lines.append(fmt(f1, "CDF_BETA1"))
     lines.append(fmt(f2, "CDF_BETA2"))
     Path(args.out).write_text("\n".join(lines))

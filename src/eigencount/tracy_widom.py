@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import _tw_data
 from .errors import InvalidInputError
-
-# Below this the stored CDF sits in the denormal/underflow regime where
-# float64 cannot keep consecutive values distinct.
-_STRICT_FLOOR = 1e-280
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -51,136 +46,88 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class TWTable:
-    """Tabulated CDF of the Tracy-Widom law for one beta."""
+# scripts/make_tw_table.py's grid expression; _tw_data holds only its constants.
+_GRID = np.round(np.arange(_tw_data.X_MIN, _tw_data.X_MAX + _tw_data.STEP / 2, _tw_data.STEP), 6)
+_CDF = {1: np.array(_tw_data.CDF_BETA1), 2: np.array(_tw_data.CDF_BETA2)}
+_SLOPES = {beta: _pchip_slopes(_GRID, cdf) for beta, cdf in _CDF.items()}
+# The same data as lists of Python floats, for scalar calls.
+_LISTS = {beta: (_GRID.tolist(), cdf.tolist(), _SLOPES[beta].tolist())
+          for beta, cdf in _CDF.items()}
 
-    beta: int
-    grid: np.ndarray
-    cdf_values: np.ndarray
-    _slopes: np.ndarray = field(repr=False, default=None)
-    # (grid, cdf_values, _slopes) as lists of Python floats, for scalar calls.
-    _lists: tuple = field(repr=False, default=None, compare=False)
 
-    def __post_init__(self):
-        if self.beta not in (1, 2):
-            raise InvalidInputError(f"beta must be 1 or 2, got {self.beta}")
-        grid = np.asarray(self.grid, dtype=float)
-        cdf = np.asarray(self.cdf_values, dtype=float)
-        if grid.ndim != 1 or grid.shape != cdf.shape or grid.size < 4:
-            raise InvalidInputError("grid and cdf_values must be matching 1-D arrays")
-        if not np.all(np.diff(grid) > 0.0):
-            raise InvalidInputError("grid must be strictly increasing")
-        if np.any(np.diff(cdf) < 0.0):
-            raise InvalidInputError("cdf_values must be non-decreasing")
-        # Strict monotonicity is only representable where float64 resolves
-        # the tails: the far-left beta=2 tail underflows toward 0 and the
-        # far-right tail saturates at 1.
-        visible = (cdf > _STRICT_FLOOR) & (cdf < 1.0 - 1e-13)
-        if np.any(np.diff(cdf[visible]) <= 0.0):
-            raise InvalidInputError("cdf_values must be strictly increasing")
-        if grid[0] > -10.0 or grid[-1] < 6.0:
-            raise InvalidInputError("grid must cover at least [-10, 6]")
-        if cdf[0] >= 1e-9 or cdf[-1] <= 1.0 - 1e-9:
-            raise InvalidInputError("tabulated endpoints must carry <1e-9 tail mass")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "cdf_values", cdf)
-        slopes = _pchip_slopes(grid, cdf)
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_lists", (grid.tolist(), cdf.tolist(), slopes.tolist()))
+def tw_cdf(x, beta: int = 1):
+    """F_beta(x) for a scalar (returned as a float) or an array of points.
 
-    def cdf(self, x):
-        """F(x) for a scalar (returned as a float) or an array of points.
+    Python and NumPy float scalars take a pure-Python path with the same
+    arithmetic as the array path, so both give identical bits.  NaN is
+    rejected.
+    """
+    if beta not in _LISTS:
+        raise InvalidInputError(f"beta must be 1 or 2, got {beta}")
+    if not isinstance(x, (float, int)):
+        return _array_cdf(x, _CDF[beta], _SLOPES[beta])
+    x = float(x)
+    if x != x:
+        raise InvalidInputError("Tracy-Widom CDF argument is NaN")
+    grid, cdf, slopes = _LISTS[beta]
+    if x <= grid[0]:
+        return 0.0
+    if x >= grid[-1]:
+        return 1.0
+    i = bisect_right(grid, x) - 1
+    h = grid[i + 1] - grid[i]
+    t = (x - grid[i]) / h
+    y0, y1 = cdf[i], cdf[i + 1]
+    m0, m1 = slopes[i] * h, slopes[i + 1] * h
+    # _array_cdf's Hermite increment, term for term.
+    delta = y1 - y0
+    c2 = 3.0 * delta - 2.0 * m0 - m1
+    c3 = m0 + m1 - 2.0 * delta
+    increment = t * (m0 + t * (c2 + t * c3))
+    # [y0, y1] lies inside [0, 1], so _array_cdf's final clip is a no-op.
+    return min(max(y0 + increment, y0), y1)
 
-        Python and NumPy float scalars take a pure-Python path with the same
-        arithmetic as the array path, so both give identical bits.  NaN is
-        rejected.
-        """
-        if isinstance(x, (float, int)):
-            return self._scalar_cdf(float(x))
-        x = np.asarray(x, dtype=float)
-        if np.isnan(x).any():
-            raise InvalidInputError("Tracy-Widom CDF argument is NaN")
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        below = x <= self.grid[0]
-        above = x >= self.grid[-1]
-        out[below] = 0.0
-        out[above] = 1.0
-        inside = ~(below | above)
-        if np.any(inside):
-            xi = x[inside]
-            idx = np.searchsorted(self.grid, xi, side="right") - 1
-            h = self.grid[idx + 1] - self.grid[idx]
-            t = (xi - self.grid[idx]) / h
-            y0, y1 = self.cdf_values[idx], self.cdf_values[idx + 1]
-            m0, m1 = self._slopes[idx] * h, self._slopes[idx + 1] * h
-            # Evaluate the Hermite cubic as y0 plus an increment polynomial:
-            # all arithmetic then happens at the increment scale, so rounding
-            # cannot break monotonicity even where y1 - y0 is a few ulps.
-            delta = y1 - y0
-            c2 = 3.0 * delta - 2.0 * m0 - m1
-            c3 = m0 + m1 - 2.0 * delta
-            increment = t * (m0 + t * (c2 + t * c3))
-            out[inside] = np.clip(y0 + increment, y0, y1)
-        out = np.clip(out, 0.0, 1.0)
-        return float(out[0]) if scalar else out
 
-    def _scalar_cdf(self, x: float) -> float:
-        grid, cdf, slopes = self._lists
-        if x != x:
-            raise InvalidInputError("Tracy-Widom CDF argument is NaN")
-        if x <= grid[0]:
-            return 0.0
-        if x >= grid[-1]:
-            return 1.0
-        i = bisect_right(grid, x) - 1
-        h = grid[i + 1] - grid[i]
-        t = (x - grid[i]) / h
-        y0, y1 = cdf[i], cdf[i + 1]
-        m0, m1 = slopes[i] * h, slopes[i + 1] * h
-        # The array path's Hermite increment, term for term.
+def _array_cdf(x, cdf: np.ndarray, slopes: np.ndarray):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise InvalidInputError("Tracy-Widom CDF argument is NaN")
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    out = np.empty_like(x)
+    below = x <= _GRID[0]
+    above = x >= _GRID[-1]
+    out[below] = 0.0
+    out[above] = 1.0
+    inside = ~(below | above)
+    if np.any(inside):
+        xi = x[inside]
+        idx = np.searchsorted(_GRID, xi, side="right") - 1
+        h = _GRID[idx + 1] - _GRID[idx]
+        t = (xi - _GRID[idx]) / h
+        y0, y1 = cdf[idx], cdf[idx + 1]
+        m0, m1 = slopes[idx] * h, slopes[idx + 1] * h
+        # Evaluate the Hermite cubic as y0 plus an increment polynomial:
+        # all arithmetic then happens at the increment scale, so rounding
+        # cannot break monotonicity even where y1 - y0 is a few ulps.
         delta = y1 - y0
         c2 = 3.0 * delta - 2.0 * m0 - m1
         c3 = m0 + m1 - 2.0 * delta
         increment = t * (m0 + t * (c2 + t * c3))
-        # [y0, y1] lies inside [0, 1], so the array path's final clip is a no-op.
-        return min(max(y0 + increment, y0), y1)
-
-
-def _build_tables() -> dict[int, TWTable]:
-    grid = np.array(_tw_data.GRID)
-    return {
-        1: TWTable(1, grid, np.array(_tw_data.CDF_BETA1)),
-        2: TWTable(2, grid, np.array(_tw_data.CDF_BETA2)),
-    }
-
-
-_TABLES = _build_tables()
-
-
-def tw_table(beta: int) -> TWTable:
-    if beta not in _TABLES:
-        raise InvalidInputError(f"beta must be 1 or 2, got {beta}")
-    return _TABLES[beta]
-
-
-def tw_cdf(x, beta: int = 1):
-    """F_beta(x); accepts scalars or arrays."""
-    return tw_table(beta).cdf(x)
+        out[inside] = np.clip(y0 + increment, y0, y1)
+    out = np.clip(out, 0.0, 1.0)
+    return float(out[0]) if scalar else out
 
 
 def tw_quantile(alpha: float, beta: int = 1) -> float:
     """The threshold s(alpha) with F_beta(s) = 1 - alpha, by bisection."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
-    table = tw_table(beta)
     target = 1.0 - alpha
-    lo, hi = table.grid[0], table.grid[-1]
-    while hi - lo > 1e-8:
+    lo, hi = _GRID[0], _GRID[-1]
+    while hi - lo > 1e-8:  # at least one step, so tw_cdf checks beta
         mid = 0.5 * (lo + hi)
-        if table.cdf(mid) < target:
+        if tw_cdf(mid, beta) < target:
             lo = mid
         else:
             hi = mid

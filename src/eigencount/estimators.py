@@ -165,41 +165,42 @@ def _compute_likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
     return terms, degenerate
 
 
-def _dof(k: np.ndarray, p: int, real_dof: bool) -> np.ndarray:
-    dof = k * (2 * p - k)
-    return dof / 2.0 if real_dof else dof.astype(float)
+def _information_criterion(spectrum: Spectrum, config: EstimatorConfig,
+                           method: str) -> ModelOrderEstimate:
+    """q_hat = argmin over k of factor * likelihood term + coefficient * dof.
 
-
-def _criterion_argmin(method: str, likelihood_factor: float, terms: np.ndarray,
-                      penalty: np.ndarray, degenerate: bool) -> ModelOrderEstimate:
-    scores = likelihood_factor * terms + penalty
+    (factor, coefficient) is (2, 2) for aic, (1, ln(n) / 2) for mdl and
+    (2, 2 c) for maic, with c = config.modified_aic_c.
+    """
+    if method == "aic":
+        factor, coefficient = 2.0, 2.0
+    elif method == "mdl":
+        factor, coefficient = 1.0, 0.5 * math.log(spectrum.n)
+    else:
+        factor, coefficient = 2.0, 2.0 * config.modified_aic_c
+    terms, degenerate = _likelihood_terms(spectrum)
+    k = np.arange(terms.size)
+    dof = k * (2 * spectrum.p - k)
+    dof = dof / 2.0 if config.real_dof else dof.astype(float)
+    scores = factor * terms + coefficient * dof
     return ModelOrderEstimate(q_hat=int(np.argmin(scores)), method=method,
                               degenerate=degenerate)
 
 
 def estimate_aic(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
-    config = config or EstimatorConfig()
-    terms, degenerate = _likelihood_terms(spectrum)
-    k = np.arange(terms.size)
-    penalty = 2.0 * _dof(k, spectrum.p, config.real_dof)
-    return _criterion_argmin("aic", 2.0, terms, penalty, degenerate)
+    """Akaike information criterion."""
+    return _information_criterion(spectrum, config or EstimatorConfig(), "aic")
 
 
 def estimate_mdl(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
-    config = config or EstimatorConfig()
-    terms, degenerate = _likelihood_terms(spectrum)
-    k = np.arange(terms.size)
-    penalty = 0.5 * _dof(k, spectrum.p, config.real_dof) * math.log(spectrum.n)
-    return _criterion_argmin("mdl", 1.0, terms, penalty, degenerate)
+    """Minimum description length (Rissanen's criterion)."""
+    return _information_criterion(spectrum, config or EstimatorConfig(), "mdl")
 
 
 def estimate_modified_aic(spectrum: Spectrum,
                           config: EstimatorConfig | None = None) -> ModelOrderEstimate:
-    config = config or EstimatorConfig()
-    terms, degenerate = _likelihood_terms(spectrum)
-    k = np.arange(terms.size)
-    penalty = 2.0 * config.modified_aic_c * _dof(k, spectrum.p, config.real_dof)
-    return _criterion_argmin("maic", 2.0, terms, penalty, degenerate)
+    """AIC with its penalty scaled by config.modified_aic_c."""
+    return _information_criterion(spectrum, config or EstimatorConfig(), "maic")
 
 
 def _stat_columns(stat: SignalStat) -> dict:

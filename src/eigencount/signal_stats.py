@@ -1,6 +1,7 @@
 """Interaction term, scale factor and decision statistic for the
-signal-search test, together with the statistic's standard deviation.  The
-test's detection threshold lives with the other thresholds in
+signal-search test, together with the statistic's standard deviation and
+the population-level mean (Lawley's expectation) that the statistic
+inverts.  The test's detection threshold lives with the other thresholds in
 probabilities.py."""
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DegenerateModelError, InvalidInputError
 from .noise import FLOAT_MIN, SQUARE_RANGE, NoiseFit
-from .spectral import Spectrum
+from .spectral import PopulationModel, Spectrum
 
 # Pairwise strength gaps below TIE_CLAMP_SCALE * max(lambda_hat, sigma2) are
 # replaced by a sign-preserving clamp: the interaction sum is singular at
@@ -39,6 +40,15 @@ class SignalStat:
         self.__dict__.update(z=z, v=v, kappa=kappa, delta=delta, delta_valid=delta_valid)
 
 
+def _tie_clamp(max_strength: float, sigma2: float) -> float:
+    """The strength gap below which interaction_term clamps a pair.
+
+    The floor keeps it a positive float when every strength and the noise
+    level sit in the subnormal range.
+    """
+    return max(TIE_CLAMP_SCALE * max(max_strength, sigma2), FLOAT_MIN)
+
+
 def interaction_term(i: int, lambda_hat: np.ndarray, sigma2: float, n: int) -> float:
     """Pairwise eigenvalue-interaction bias on the i-th (1-based) strength.
 
@@ -54,9 +64,7 @@ def interaction_term(i: int, lambda_hat: np.ndarray, sigma2: float, n: int) -> f
         return 0.0
     values = lam.tolist()
     lam_i = values[i - 1]
-    # The floor keeps the clamp a positive float when every strength and
-    # the noise level sit in the subnormal range.
-    clamp = max(TIE_CLAMP_SCALE * max(max(values), sigma2), FLOAT_MIN)
+    clamp = _tie_clamp(max(values), sigma2)
     lo, hi = SQUARE_RANGE
     tested = lam_i + sigma2
     total = 0.0
@@ -118,6 +126,24 @@ def fluctuation_params(lam: float, sigma2: float, p: int, n: int, q: int,
             f"strength {lam:g} is at or below the fluctuation threshold "
             f"{sigma2 * math.sqrt((p - q) / n):g}")
     return (lam + sigma2) * kappa, delta * kappa
+
+
+def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
+    """Finite-sample expectation (lam_j + sigma2) kappa_j + v_j of the j-th
+    (1-based) spike eigenvalue: the mean that decision_statistic inverts.
+
+    Strengths closer than the interaction term's tie clamp are rejected, so
+    the clamp never alters the value.
+    """
+    lam, sigma2, q = model.signal_strengths, model.noise_variance, model.q
+    if not 1 <= j <= q:
+        raise InvalidInputError(f"index must lie in 1..{q}, got {j}")
+    # The strengths are sorted descending, so adjacent gaps are the smallest.
+    if np.any(lam[:-1] - lam[1:] < _tie_clamp(float(lam[0]), sigma2)):
+        raise DegenerateModelError("signal strengths must be distinct")
+    lam_j = lam[j - 1]
+    return ((lam_j + sigma2) * kappa_factor(lam_j, sigma2, model.p, q, n)
+            + interaction_term(j, lam, sigma2, n))
 
 
 def decision_statistic(i: int, spectrum: Spectrum, fit: NoiseFit,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModelError, InvalidInputError, SolverError
+from .errors import InvalidInputError, SolverError
 
 # Eigenvalues of a PSD matrix may round off slightly negative; anything in
 # [-NEG_RTOL * scale, 0) is clamped to 0, anything lower is rejected, where
@@ -204,22 +204,3 @@ def spike_limit(lam: float, sigma2: float, gamma: float) -> float:
     if lam > detection_limit(sigma2, gamma):
         return (lam + sigma2) * (1.0 + gamma * sigma2 / lam)
     return sigma2 * (1.0 + math.sqrt(gamma)) ** 2
-
-
-def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
-    """Finite-sample expectation of the j-th (1-based) spike eigenvalue,
-    including the pairwise interaction sum."""
-    q = model.q
-    if not 1 <= j <= q:
-        raise InvalidInputError(f"index must lie in 1..{q}, got {j}")
-    lam = model.signal_strengths
-    tie_tol = 1e-9 * lam.max()
-    gaps = np.abs(np.subtract.outer(lam, lam))
-    if np.any(gaps[~np.eye(q, dtype=bool)] <= tie_tol):
-        raise DegenerateModelError("signal strengths must be distinct")
-    sigma2 = model.noise_variance
-    rho = lam + sigma2
-    rho_j = rho[j - 1]
-    interaction = sum(rho[i] / (rho_j - rho[i]) for i in range(q) if i != j - 1)
-    return rho_j + (model.p - q) * rho_j * sigma2 / (n * (rho_j - sigma2)) \
-        + rho_j / n * interaction

@@ -65,6 +65,16 @@ class TestInformationCriteria:
             assert ec.estimate_modified_aic(spectrum, config).q_hat == \
                 ec.estimate_aic(spectrum).q_hat
 
+    def test_real_dof_halves_the_penalty(self):
+        rng = np.random.RandomState(35)
+        for _ in range(100):
+            spectrum = random_spectrum(rng, p=8, n=20)
+            for c in (1.0, 2.0, 3.0):
+                real = ec.EstimatorConfig(modified_aic_c=c, real_dof=True)
+                halved = ec.EstimatorConfig(modified_aic_c=c / 2)
+                assert ec.estimate_modified_aic(spectrum, real).q_hat == \
+                    ec.estimate_modified_aic(spectrum, halved).q_hat
+
     def test_huge_penalty_forces_zero(self):
         rng = np.random.RandomState(33)
         config = ec.EstimatorConfig(modified_aic_c=1e9)

@@ -214,6 +214,15 @@ class TestAsymptoticFormulas:
         with pytest.raises(DegenerateModelError):
             ec.lawley_expectation(1, model, 100)
 
+    def test_lawley_rejects_gaps_the_interaction_term_would_clamp(self):
+        # Relative gap 1e-7, inside TIE_CLAMP_SCALE = 1e-6 of the largest
+        # strength: interaction_term would replace it by its tie clamp.
+        model = ec.PopulationModel(np.array([5.0, 5.0 * (1.0 - 1e-7)]), 1.0, 100)
+        with pytest.raises(DegenerateModelError):
+            ec.lawley_expectation(1, model, 100)
+        model = ec.PopulationModel(np.array([5.0, 5.0 * (1.0 - 1e-5)]), 1.0, 100)
+        assert math.isfinite(ec.lawley_expectation(1, model, 100))
+
     def test_lawley_index_validation(self):
         model = ec.PopulationModel(np.array([4.0]), 1.0, 100)
         with pytest.raises(InvalidInputError):

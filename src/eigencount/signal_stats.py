@@ -18,6 +18,7 @@ from .spectral import PopulationModel, Spectrum
 # Pairwise strength gaps below TIE_CLAMP_SCALE * max(lambda_hat, sigma2) are
 # replaced by a sign-preserving clamp: the interaction sum is singular at
 # exact ties, which the solver can emit for repeated population strengths.
+# lawley_expectation rejects such gaps instead.
 TIE_CLAMP_SCALE = 1e-6
 # Floor for the variance radicand once a strength falls below the
 # fluctuation threshold; the delta_valid flag records the clamp.

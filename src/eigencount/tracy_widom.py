@@ -47,7 +47,8 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # scripts/make_tw_table.py's grid expression; _tw_data holds only its constants.
-_GRID = np.round(np.arange(_tw_data.X_MIN, _tw_data.X_MAX + _tw_data.STEP / 2, _tw_data.STEP), 6)
+_GRID = np.round(np.arange(_tw_data.X_MIN, _tw_data.X_MAX + _tw_data.STEP / 2,
+                           _tw_data.STEP), 6)
 _CDF = {1: np.array(_tw_data.CDF_BETA1), 2: np.array(_tw_data.CDF_BETA2)}
 _SLOPES = {beta: _pchip_slopes(_GRID, cdf) for beta, cdf in _CDF.items()}
 # The same data as lists of Python floats, for scalar calls.

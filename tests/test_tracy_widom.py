@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import eigencount as ec
+from eigencount import _tw_data, tracy_widom
 from eigencount.errors import InvalidInputError
 from eigencount.spectral import PopulationModel, eig_sym_desc, sample_covariance
 from eigencount.simulation import generate_snapshots, trial_rng
-from eigencount import _tw_data, tracy_widom
 from eigencount.tracy_widom import _edge_constants
 
 # Oracle quantiles F_beta(s) = 1 - alpha.
@@ -71,6 +71,8 @@ class TestCdf:
     def test_unsupported_beta(self):
         with pytest.raises(InvalidInputError):
             ec.tw_cdf(0.0, 3)
+        with pytest.raises(InvalidInputError):
+            ec.tw_quantile(0.05, 3)
 
 
 class TestQuantile:

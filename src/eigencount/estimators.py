@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ class EstimatorConfig:
             raise InvalidInputError("beta must be 1 or 2")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """Per-step record of a sequential scan; unused fields stay None."""
 
     k: int
@@ -83,17 +83,7 @@ class TraceRow:
     degenerate: bool = False
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
-
-
-def _trace_row(columns: dict) -> TraceRow:
-    """TraceRow(**columns) without the frozen-dataclass __init__, which sets
-    each of the 24 fields through object.__setattr__.  columns must hold k,
-    l_k, criterion and accepted; a column left out reads its class-level
-    default.  The row is as frozen as any other."""
-    row = object.__new__(TraceRow)
-    row.__dict__.update(columns)
-    return row
+TRACE_COLUMNS = TraceRow._fields
 
 
 @dataclass
@@ -108,8 +98,7 @@ class DecisionTrace:
         writer.writerow(TRACE_COLUMNS)
         for row in self.rows:
             record = []
-            for name in TRACE_COLUMNS:
-                value = getattr(row, name)
+            for value in row:
                 if value is None:
                     record.append("")
                 elif isinstance(value, bool):
@@ -222,7 +211,7 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     scores, with the comparison orientation depending on whether gamma < 1.
     """
     k = fit.k
-    if float(fit.lambda_hat[k - 1]) <= 0.0:
+    if fit.lambda_hat[k - 1] <= 0.0:
         # No usable strength estimate: the scores are undefined, fall back
         # to the TW test and flag the step.
         return "rmt", {"degenerate": True}, None
@@ -280,14 +269,14 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
         fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
                                         config.solver_max_iter)
         criterion, extra, stat = choose(spectrum, fit, config)
-        l_k, lambda_hat = values[k - 1], fit.lambda_hat.tolist()
+        l_k = values[k - 1]
         row = {"k": k, "l_k": l_k, "criterion": criterion,
-               "sigma2_hat": fit.sigma2_hat, "lambda_hat": tuple(lambda_hat),
+               "sigma2_hat": fit.sigma2_hat, "lambda_hat": fit.lambda_hat,
                "degenerate": fit.any_degenerate, **extra}
         if criterion == "rmt":
             row["theta_rmt"] = _tw_threshold(fit, config.alpha, config.beta)
             accepted = l_k > row["theta_rmt"]
-        elif lambda_hat[k - 1] <= 0.0:
+        elif fit.lambda_hat[k - 1] <= 0.0:
             accepted, row["degenerate"] = False, True
         else:
             if stat is None:
@@ -297,7 +286,7 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
             accepted = stat.z > threshold
             row.update(_stat_columns(stat), z_k=stat.z, z_threshold=threshold)
         row["accepted"] = accepted
-        trace.rows.append(_trace_row(row))
+        trace.rows.append(TraceRow(**row))
         if not accepted:
             q_hat = k - 1
             break

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .spectral import Spectrum
@@ -27,32 +25,27 @@ FLOAT_MIN, FLOAT_MAX = sys.float_info.min, sys.float_info.max
 SQUARE_RANGE = (math.sqrt(FLOAT_MIN), math.sqrt(FLOAT_MAX))
 
 
-@dataclass(frozen=True, init=False)
-class NoiseFit:
-    """Solver output for one hypothesised signal count k."""
+class NoiseFit(NamedTuple):
+    """Solver output for one hypothesised signal count k.
+
+    rho_hat, lambda_hat and degenerate_roots hold one Python float or bool
+    per spike.
+    """
 
     k: int
     sigma2_hat: float
-    rho_hat: np.ndarray
-    lambda_hat: np.ndarray
+    rho_hat: tuple[float, ...]
+    lambda_hat: tuple[float, ...]
     converged: bool
     iterations: int
-    degenerate_roots: np.ndarray
+    degenerate_roots: tuple[bool, ...]
     p: int
     n: int
-    # Whether any root was clamped; derived from degenerate_roots.
-    any_degenerate: bool = field(init=False, repr=False, compare=False)
 
-    def __init__(self, k: int, sigma2_hat: float, rho_hat: np.ndarray,
-                 lambda_hat: np.ndarray, converged: bool, iterations: int,
-                 degenerate_roots: np.ndarray, p: int, n: int):
-        # Sets the fields directly: the frozen-dataclass __init__ routes each
-        # through object.__setattr__, a cost every fit of a scan pays.
-        self.__dict__.update(
-            k=k, sigma2_hat=sigma2_hat, rho_hat=rho_hat, lambda_hat=lambda_hat,
-            converged=converged, iterations=iterations,
-            degenerate_roots=degenerate_roots, p=p, n=n,
-            any_degenerate=bool(np.asarray(degenerate_roots).any()))
+    @property
+    def any_degenerate(self) -> bool:
+        """Whether any root was clamped."""
+        return any(self.degenerate_roots)
 
 
 def _spike_roots(leading, sigma2: float, shift: float) -> tuple[list[float], list[bool]]:
@@ -165,8 +158,7 @@ def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
     gracefully.
 
     The fit is memoised on the spectrum per (k, tol, max_iter), so every
-    estimator scanning the same spectrum shares one solve per k; its arrays
-    are read-only.
+    estimator scanning the same spectrum shares one solve per k.
     """
     return spectrum._memoised(("noise_fit", k, tol, max_iter),
                               lambda: _fixed_point(spectrum, k, tol, max_iter))
@@ -191,15 +183,8 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
 
     def fit(sigma2, converged, iterations):
         rho, degenerate, _ = _roots_pass(leading, sigma2, shift)
-        rho_hat = np.array(rho, dtype=float)
-        lambda_hat = rho_hat - sigma2
-        degenerate_roots = np.array(degenerate, dtype=bool)
-        for array in (rho_hat, lambda_hat, degenerate_roots):
-            array.flags.writeable = False
-        return NoiseFit(k=k, sigma2_hat=sigma2, rho_hat=rho_hat,
-                        lambda_hat=lambda_hat, converged=converged,
-                        iterations=iterations, degenerate_roots=degenerate_roots,
-                        p=p, n=n)
+        return NoiseFit(k, sigma2, tuple(rho), tuple(r - sigma2 for r in rho),
+                        converged, iterations, tuple(degenerate), p, n)
 
     if k == 0:
         return fit(sigma2_init, True, 0)

@@ -97,7 +97,7 @@ class ThresholdContext:
                  gamma: float, alpha: float, alpha0: float, beta: int = 1):
         if fit_k.k != k or fit_km1.k != k - 1:
             raise InvalidInputError("fits do not match the step index")
-        if float(fit_k.lambda_hat[k - 1]) <= 0.0:
+        if fit_k.lambda_hat[k - 1] <= 0.0:
             raise InvalidInputError("tested strength must be positive")
         stat = decision_statistic(k, spectrum, fit_k, beta)
         # The bulk edge (1 + sqrt(gamma)) sigma2 of hypothesis k, and the

@@ -7,7 +7,8 @@ probabilities.py."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ TIE_CLAMP_SCALE = 1e-6
 RADICAND_FLOOR = 1e-12
 
 
-@dataclass(frozen=True, init=False)
-class SignalStat:
+class SignalStat(NamedTuple):
     """Decision statistic z and its ingredients for one tested index."""
 
     z: float
@@ -34,11 +34,6 @@ class SignalStat:
     kappa: float
     delta: float
     delta_valid: bool
-
-    def __init__(self, z: float, v: float, kappa: float, delta: float, delta_valid: bool):
-        # Sets the fields directly: the frozen-dataclass __init__ routes each
-        # through object.__setattr__, and every scan step builds one.
-        self.__dict__.update(z=z, v=v, kappa=kappa, delta=delta, delta_valid=delta_valid)
 
 
 def _tie_clamp(max_strength: float, sigma2: float) -> float:
@@ -50,26 +45,25 @@ def _tie_clamp(max_strength: float, sigma2: float) -> float:
     return max(TIE_CLAMP_SCALE * max(max_strength, sigma2), FLOAT_MIN)
 
 
-def interaction_term(i: int, lambda_hat: np.ndarray, sigma2: float, n: int) -> float:
+def interaction_term(i: int, lambda_hat: Sequence[float], sigma2: float, n: int) -> float:
     """Pairwise eigenvalue-interaction bias on the i-th (1-based) strength.
 
-    The sum runs on Python floats.  For q >= 2 the result is returned as an
-    np.float64, as the array code it replaces did: the statistic z built
-    from it, and the accept flag compared against z, keep that type.
+    The sum runs on the strengths as given, Python floats for a fit.  For
+    q >= 2 the result is returned as an np.float64, as the array code it
+    replaces did: the statistic z built from it, and the accept flag
+    compared against z, keep that type.
     """
-    lam = np.asarray(lambda_hat, dtype=float)
-    q = lam.size
+    q = len(lambda_hat)
     if not 1 <= i <= q:
         raise InvalidInputError(f"index must lie in 1..{q}, got {i}")
     if q == 1:
         return 0.0
-    values = lam.tolist()
-    lam_i = values[i - 1]
-    clamp = _tie_clamp(max(values), sigma2)
+    lam_i = lambda_hat[i - 1]
+    clamp = _tie_clamp(max(lambda_hat), sigma2)
     lo, hi = SQUARE_RANGE
     tested = lam_i + sigma2
     total = 0.0
-    for j, lam_j in enumerate(values):
+    for j, lam_j in enumerate(lambda_hat):
         if j == i - 1:
             continue
         gap = lam_i - lam_j
@@ -153,7 +147,7 @@ def decision_statistic(i: int, spectrum: Spectrum, fit: NoiseFit,
     if not 1 <= i <= fit.k:
         raise InvalidInputError(f"fit provides {fit.k} spikes, cannot test index {i}")
     sigma2 = fit.sigma2_hat
-    lam_i = float(fit.lambda_hat[i - 1])
+    lam_i = fit.lambda_hat[i - 1]
     v = interaction_term(i, fit.lambda_hat, sigma2, spectrum.n)
     kappa = kappa_factor(lam_i, sigma2, spectrum.p, fit.k, spectrum.n)
     delta, valid = stat_std_dev(lam_i, sigma2, spectrum.p, fit.k, spectrum.n, beta)

@@ -10,6 +10,7 @@ of execution order -- trials can run in any order or in parallel.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -202,26 +203,25 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     return {m: ESTIMATORS[m](spectrum, spec.config).q_hat for m in spec.methods}
 
 
-def _count_block(args) -> dict[int, dict[str, list[int]]]:
+def _count_block(args) -> Counter:
     """Misdetection counts of one contiguous block of the flattened sweep.
 
     Item f of the flattened sweep is trial f % trials of point f // trials,
     so a block [start, stop) covers the tail of one point, whole points and
-    the head of another, in sweep order.  Counts are keyed by point index,
-    which keeps duplicate grid values apart.
+    the head of another, in sweep order.  Counts are keyed by (point index,
+    method, over-estimated): the point index keeps duplicate grid values
+    apart, and the flag is False for an under- and True for an
+    over-estimate.
     """
     spec, points, start, stop = args
     q_true = spec.q
-    counts: dict[int, dict[str, list[int]]] = {}
+    counts = Counter()
     for item in range(start, stop):
         point, idx = divmod(item, spec.trials)
         _, p, n = points[point]
-        tally = counts.setdefault(point, {m: [0, 0] for m in spec.methods})
         for m, q_hat in run_trial(spec, idx, p, n).items():
-            if q_hat < q_true:
-                tally[m][0] += 1
-            elif q_hat > q_true:
-                tally[m][1] += 1
+            if q_hat != q_true:
+                counts[point, m, q_hat > q_true] += 1
     return counts
 
 
@@ -265,14 +265,9 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
             partials = [_count_block(blocks[0]), *others]
     else:
         partials = [_count_block(blocks[0])]
-    totals = {point: {m: [0, 0] for m in spec.methods} for point in range(len(points))}
-    for partial in partials:
-        for point, counts in partial.items():
-            for m, (under, over) in counts.items():
-                totals[point][m][0] += under
-                totals[point][m][1] += over
+    totals = sum(partials, Counter())
     rows = [SweepRow(sweep_value=sweep_value, method=m, trials=spec.trials,
-                     count_under=totals[point][m][0], count_over=totals[point][m][1])
+                     count_under=totals[point, m, False], count_over=totals[point, m, True])
             for point, (sweep_value, _, _) in enumerate(points) for m in spec.methods]
     rows.sort(key=lambda r: (r.sweep_value, r.method))
     return SweepResult(rows=tuple(rows))
@@ -327,7 +322,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     Keys: preset, p, p_list, n, n_list, gamma, lambda, sigma2, trials, seed,
     methods.  '#' starts a comment; a preset line supplies defaults that the
-    remaining keys override.
+    remaining keys override.  A p or p_list key replaces the preset's p axis,
+    and an n or n_list key its n axis.
     """
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -348,9 +344,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     if "," in entries.get("n", ""):
         entries.setdefault("n_list", entries.pop("n"))  # an n sweep; n_list wins
+    # Clear each axis the file sets, so that none of the preset's survives.
+    updates = {name: None for axis in ("p", "n") for name in (axis, f"{axis}_list")
+               if axis in entries or f"{axis}_list" in entries}
     try:
-        updates = {field_name: parse(entries[key])
-                   for key, (field_name, parse) in _SCENARIO_KEYS.items() if key in entries}
+        updates.update((field_name, parse(entries[key]))
+                       for key, (field_name, parse) in _SCENARIO_KEYS.items() if key in entries)
     except ValueError as exc:
         raise InvalidInputError(f"malformed scenario value: {exc}") from exc
     spec = replace(spec, **updates)

@@ -516,9 +516,8 @@ class TestSharedComputation:
                 ec.run_trial(spec, idx, p, n)
         assert calls and len(calls) == len(set(calls))
 
-    def test_fast_trace_rows_equal_constructed_rows(self):
-        import dataclasses
-        from eigencount.estimators import TraceRow, _trace_row
+    def test_trace_rows_equal_rows_rebuilt_from_their_columns(self):
+        from eigencount.estimators import TraceRow
         from tests.test_golden import _cases
         rows = [row for spectrum in _cases("edge") for m in ("rmt", "srmt", "sns")
                 for row in ec.estimate(spectrum, m).trace.rows]
@@ -527,12 +526,26 @@ class TestSharedComputation:
             columns = {name: getattr(row, name) for name in TRACE_COLUMNS}
             rebuilt = TraceRow(**columns)
             assert rebuilt == row and repr(rebuilt) == repr(row)
-            assert _trace_row(columns) == rebuilt
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                row.accepted = False
-        required = {"k": 1, "l_k": 2.5, "criterion": "rmt", "accepted": True}
-        partial = _trace_row(required)
-        assert partial == TraceRow(**required) and repr(partial) == repr(TraceRow(**required))
+        partial = TraceRow(k=1, l_k=2.5, criterion="rmt", accepted=True)
+        assert partial.sigma2_hat is None and partial.degenerate is False
+
+    def test_scan_records_are_immutable_tuples_of_plain_values(self):
+        """The fit, statistic and trace row of a scan step cannot be
+        altered, and a fit's per-spike fields hold Python floats and bools,
+        not numpy scalars."""
+        spectrum = sampled_spectrum([8.0, 5.0, 2.0], p=50, n=100, seed=98)
+        fit = ec.estimate_noise_and_spikes(spectrum, 3)
+        for name, kind in (("rho_hat", float), ("lambda_hat", float),
+                           ("degenerate_roots", bool)):
+            values = getattr(fit, name)
+            assert type(values) is tuple and len(values) == 3, name
+            assert [type(value) for value in values] == [kind] * 3, name
+        stat = ec.decision_statistic(1, spectrum, fit)
+        row = ec.estimate(spectrum, "sns").trace.rows[0]
+        for record in (fit, stat, row):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
 
     def test_all_zero_spectrum_same_error_class(self):
         spectrum = spectrum_from_values(np.zeros(6), 10)

@@ -92,7 +92,7 @@ class TestJointSolver:
         fit = ec.estimate_noise_and_spikes(spectrum, 0)
         assert fit.sigma2_hat == float(spectrum.eigenvalues.mean())
         assert fit.converged and fit.iterations == 0
-        assert fit.rho_hat.size == 0
+        assert fit.rho_hat == fit.lambda_hat == fit.degenerate_roots == ()
 
     def test_idealised_single_spike(self):
         """Spike at its deterministic limit, noise floor exactly at sigma2."""
@@ -147,7 +147,8 @@ class TestJointSolver:
     def test_lambda_hat_definition(self):
         spectrum = sampled_spectrum([7.0], p=40, n=80, seed=42)
         fit = ec.estimate_noise_and_spikes(spectrum, 1)
-        np.testing.assert_array_equal(fit.lambda_hat, fit.rho_hat - fit.sigma2_hat)
+        expected = np.array(fit.rho_hat) - fit.sigma2_hat
+        assert np.array(fit.lambda_hat).tobytes() == expected.tobytes()
 
     def test_rho_sorted_when_all_valid(self, strong_two_spike_fit):
         _, fit = strong_two_spike_fit
@@ -184,15 +185,15 @@ class TestSharedFits:
         fresh = ec.estimate_noise_and_spikes(twin, 2)
         assert fresh is not fit
         assert fresh.sigma2_hat == fit.sigma2_hat
-        assert fresh.rho_hat.tobytes() == fit.rho_hat.tobytes()
+        assert np.array(fresh.rho_hat).tobytes() == np.array(fit.rho_hat).tobytes()
 
-    def test_memoised_arrays_are_read_only(self):
+    def test_memoised_fits_are_immutable(self):
         spectrum = sampled_spectrum([6.0, 3.0], p=30, n=60, seed=4201)
         for k in (0, 2):
             fit = ec.estimate_noise_and_spikes(spectrum, k)
-            for array in (fit.rho_hat, fit.lambda_hat, fit.degenerate_roots):
-                assert not array.flags.writeable
-        with pytest.raises(ValueError):
+            for values in (fit.rho_hat, fit.lambda_hat, fit.degenerate_roots):
+                assert type(values) is tuple and len(values) == k
+        with pytest.raises(TypeError):
             fit.lambda_hat[0] = 0.0
 
     def test_invalid_k_not_cached(self):
@@ -269,9 +270,9 @@ class TestFloatFixedPoint:
                     sigma2, rho, degenerate, converged, iterations = \
                         reference_fixed_point(spectrum, k, max_iter=max_iter)
                     assert repr(fit.sigma2_hat) == repr(sigma2)
-                    assert fit.rho_hat.tobytes() == rho.tobytes()
-                    assert fit.lambda_hat.tobytes() == (rho - sigma2).tobytes()
-                    assert fit.degenerate_roots.tolist() == degenerate.tolist()
+                    assert np.array(fit.rho_hat).tobytes() == rho.tobytes()
+                    assert np.array(fit.lambda_hat).tobytes() == (rho - sigma2).tobytes()
+                    assert list(fit.degenerate_roots) == degenerate.tolist()
                     assert (fit.converged, fit.iterations) == (converged, iterations)
                     assert fit.any_degenerate == bool(degenerate.any())
                     exits.add("converged" if converged else
@@ -391,8 +392,8 @@ class TestOnePassIteration:
                     fit = _fixed_point(case, k, DEFAULT_TOL, ec.noise.DEFAULT_MAX_ITER)
                     sigma2, rho, degenerate, converged, iterations = expected
                     assert repr(fit.sigma2_hat) == repr(sigma2)
-                    assert fit.rho_hat.tobytes() == np.array(rho, dtype=float).tobytes()
-                    assert fit.degenerate_roots.tolist() == degenerate
+                    assert np.array(fit.rho_hat).tobytes() == np.array(rho, dtype=float).tobytes()
+                    assert list(fit.degenerate_roots) == degenerate
                     assert (fit.converged, fit.iterations) == (converged, iterations)
                     seen["k"] = max(seen["k"], k)
                     seen["clamped"] += any(degenerate)

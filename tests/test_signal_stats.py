@@ -13,10 +13,12 @@ from tests.conftest import spectrum_from_values
 
 
 def make_fit(lambda_hat, sigma2, p, n):
-    lam = np.asarray(lambda_hat, dtype=float)
-    return NoiseFit(k=lam.size, sigma2_hat=sigma2, rho_hat=lam + sigma2,
+    """A fit with hand-chosen strengths, built as the solver builds one:
+    tuples of Python floats and bools."""
+    lam = tuple(float(x) for x in lambda_hat)
+    return NoiseFit(k=len(lam), sigma2_hat=sigma2, rho_hat=tuple(x + sigma2 for x in lam),
                     lambda_hat=lam, converged=True, iterations=1,
-                    degenerate_roots=np.zeros(lam.size, dtype=bool), p=p, n=n)
+                    degenerate_roots=(False,) * len(lam), p=p, n=n)
 
 
 class TestInteractionTerm:

@@ -183,7 +183,10 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
 
     def fit(sigma2, converged, iterations):
         rho, degenerate, _ = _roots_pass(leading, sigma2, shift)
-        return NoiseFit(k, sigma2, tuple(rho), tuple(r - sigma2 for r in rho),
+        # Tuples of lists, not of generators: CPython builds a tuple from a
+        # generator by over-allocating and shrinking it, and each such tuple
+        # strands a block on the tuple free lists, so memory grew per fit.
+        return NoiseFit(k, sigma2, tuple(rho), tuple([r - sigma2 for r in rho]),
                         converged, iterations, tuple(degenerate), p, n)
 
     if k == 0:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,22 @@ class TestSharedFits:
                 assert type(values) is tuple and len(values) == k
         with pytest.raises(TypeError):
             fit.lambda_hat[0] = 0.0
+
+    def test_fits_strand_no_allocated_blocks(self):
+        """Fits built over and over leave the interpreter's block count
+        level.  On CPython a tuple made from a generator strands one block
+        per fit on the tuple free lists, which showed as a rising peak RSS."""
+        spectrum = sampled_spectrum([9.0, 6.0, 4.0], p=40, n=80, seed=4203)
+
+        def fit_all():
+            for k in range(1, 9):
+                _fixed_point(spectrum, k, DEFAULT_TOL, ec.noise.DEFAULT_MAX_ITER)
+
+        fit_all()
+        before = sys.getallocatedblocks()
+        for _ in range(300):
+            fit_all()
+        assert sys.getallocatedblocks() - before < 300
 
     def test_invalid_k_not_cached(self):
         spectrum = sampled_spectrum([6.0], p=10, n=20, seed=4202)

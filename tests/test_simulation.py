@@ -291,16 +291,13 @@ class TestScenarioParsing:
         spec = parse_scenario("preset = fig2\ntrials = 11\nseed = 4")
         assert spec.lambdas == (15.0,) and spec.trials == 11 and spec.base_seed == 4
 
-    @pytest.mark.parametrize("text, point", [("preset = fig11\nn = 100", (60, 60, 100)),
-                                             ("preset = fig4\np = 60", (60, 60, 120))])
-    def test_file_axis_replaces_the_preset_sweep(self, text, point):
-        assert parse_scenario(text).sweep_points() == [point]
-
-    def test_file_list_replaces_the_preset_sweep(self):
-        spec = parse_scenario("preset = fig11\nn_list = 45, 90")
-        assert spec.sweep_points() == [(45, 60, 45), (90, 60, 90)]
-        spec = parse_scenario("preset = fig4\np_list = 20")
-        assert spec.sweep_points() == [(20, 20, 40)]
+    @pytest.mark.parametrize("text, points", [
+        ("preset = fig11\nn = 100", [(60, 60, 100)]),
+        ("preset = fig4\np = 60", [(60, 60, 120)]),
+        ("preset = fig11\nn_list = 45, 90", [(45, 60, 45), (90, 60, 90)]),
+        ("preset = fig4\np_list = 20", [(20, 20, 40)])])
+    def test_file_axis_replaces_the_preset_sweep(self, text, points):
+        assert parse_scenario(text).sweep_points() == points
 
     def test_n_list_via_comma_value(self):
         spec = parse_scenario("p = 60\nn = 30, 60\nlambda = 5")

@@ -20,7 +20,7 @@ from .estimators import METHOD_ORDER, EstimatorConfig, estimate
 from .simulation import (PRESET_NAMES, ScenarioSpec, parse_scenario,
                          preset_scenario, run_sweep)
 from .spectral import Spectrum, eig_sym_desc, sample_covariance
-from .tracy_widom import tw_cdf, tw_quantile
+from .tracy_widom import DEFAULT_BETA, tw_cdf, tw_quantile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,7 +213,7 @@ def build_parser() -> _Parser:
     tw.add_argument("--alpha", type=float, default=None,
                     help="print s(alpha) with F_beta(s) = 1 - alpha")
     tw.add_argument("--x", type=float, default=None, help="print F_beta(x)")
-    tw.add_argument("--beta", type=int, choices=(1, 2), default=1)
+    tw.add_argument("--beta", type=int, choices=(1, 2), default=DEFAULT_BETA)
     tw.set_defaults(func=_cmd_tw)
 
     return parser

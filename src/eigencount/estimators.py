@@ -27,6 +27,7 @@ from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
                             pe_rmt, pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import SignalStat, decision_statistic
 from .spectral import Spectrum
+from .tracy_widom import DEFAULT_BETA
 
 LOG_CLAMP = -700.0
 
@@ -37,7 +38,7 @@ class EstimatorConfig:
 
     alpha: float = 0.005
     alpha0: float = 0.995
-    beta: int = 1
+    beta: int = DEFAULT_BETA
     solver_tol: float = DEFAULT_TOL
     solver_max_iter: int = DEFAULT_MAX_ITER
     modified_aic_c: float = 2.0
@@ -245,6 +246,35 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     return ("srmt" if pick_srmt else "rmt"), row, ctx.stat
 
 
+def _tw_test(fit: NoiseFit, l_k: float, config: EstimatorConfig):
+    """The TW test of l_k, k = fit.k: (threshold, accepted).
+
+    l_k is accepted as a signal when it exceeds the TW threshold at
+    false-alarm alpha.
+    """
+    theta = _tw_threshold(fit, config.alpha, config.beta)
+    return theta, l_k > theta
+
+
+def _signal_search_test(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig,
+                        stat: SignalStat | None = None):
+    """The signal-search test of l_k, k = fit.k: (statistic, threshold, accepted).
+
+    l_k is accepted when z_k exceeds the signal-search threshold at detection
+    probability alpha0.  stat, if given, is the step's statistic already
+    computed.  A non-positive fitted strength cannot be a signal and has no
+    defined statistic: it is rejected outright, with statistic and threshold
+    None.
+    """
+    k = fit.k
+    if fit.lambda_hat[k - 1] <= 0.0:
+        return None, None, False
+    if stat is None:
+        stat = decision_statistic(k, spectrum, fit, config.beta)
+    threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta, config.alpha0)
+    return stat, threshold, stat.z > threshold
+
+
 def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
           choose) -> ModelOrderEstimate:
     """The sequential scan shared by rmt, srmt and sns.
@@ -255,10 +285,9 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
     the first rejection, so q_hat = k - 1, or spectrum.kmax if nothing
     rejects.
 
-    * rmt:  l_k > the TW threshold at false-alarm alpha;
-    * srmt: z_k > the signal-search threshold at detection probability
-      alpha0.  A non-positive estimated strength cannot be a signal and has
-      no defined statistic; it is rejected outright and flagged.
+    * rmt:  _tw_test;
+    * srmt: _signal_search_test, whose outright rejection of a non-positive
+      strength is flagged.
 
     The estimate is degenerate if any step's fit or test was.
     """
@@ -274,17 +303,13 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
                "sigma2_hat": fit.sigma2_hat, "lambda_hat": fit.lambda_hat,
                "degenerate": fit.any_degenerate, **extra}
         if criterion == "rmt":
-            row["theta_rmt"] = _tw_threshold(fit, config.alpha, config.beta)
-            accepted = l_k > row["theta_rmt"]
-        elif fit.lambda_hat[k - 1] <= 0.0:
-            accepted, row["degenerate"] = False, True
+            row["theta_rmt"], accepted = _tw_test(fit, l_k, config)
         else:
+            stat, threshold, accepted = _signal_search_test(spectrum, fit, config, stat)
             if stat is None:
-                stat = decision_statistic(k, spectrum, fit, config.beta)
-            threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta,
-                                     config.alpha0)
-            accepted = stat.z > threshold
-            row.update(_stat_columns(stat), z_k=stat.z, z_threshold=threshold)
+                row["degenerate"] = True
+            else:
+                row.update(_stat_columns(stat), z_k=stat.z, z_threshold=threshold)
         row["accepted"] = accepted
         trace.rows.append(TraceRow(**row))
         if not accepted:
@@ -292,6 +317,42 @@ def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
             break
     return ModelOrderEstimate(q_hat=q_hat, method=method, trace=trace,
                               degenerate=any(r.degenerate for r in trace.rows))
+
+
+def _scan_q_hats(spectrum: Spectrum, config: EstimatorConfig, methods) -> dict[str, int]:
+    """The q_hat of each of rmt, srmt and sns named in methods, in one pass.
+
+    The results of their estimators without the traces.  At k = 1, 2, ...,
+    while any requested scan still runs, the pass takes the shared fit and
+    applies the TW and signal-search tests once each, as far as the running
+    scans need them; each scan stops at its own first rejection.  sns's
+    choice of test is scored (_adaptive) only where the two verdicts differ
+    and the fitted strength is positive: elsewhere it cannot change sns's
+    verdict, which is then the TW test's, as in _scan.
+    """
+    running = [m for m in ("rmt", "srmt", "sns") if m in methods]
+    q_hats = {}
+    values = spectrum.eigenvalues.tolist()
+    for k in range(1, spectrum.kmax + 1):
+        if not running:
+            break
+        fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
+                                        config.solver_max_iter)
+        sns = "sns" in running
+        verdicts = {}
+        if sns or "rmt" in running:
+            verdicts["rmt"] = _tw_test(fit, values[k - 1], config)[1]
+        if sns or "srmt" in running:
+            verdicts["srmt"] = _signal_search_test(spectrum, fit, config)[2]
+        if sns:
+            criterion = "rmt"
+            if verdicts["rmt"] != verdicts["srmt"] and fit.lambda_hat[k - 1] > 0.0:
+                criterion = _adaptive(spectrum, fit, config)[0]
+            verdicts["sns"] = verdicts[criterion]
+        for method in [m for m in running if not verdicts[m]]:
+            q_hats[method] = k - 1
+            running.remove(method)
+    return {**q_hats, **dict.fromkeys(running, spectrum.kmax)}
 
 
 def estimate_rmt(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:

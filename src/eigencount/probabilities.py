@@ -18,7 +18,7 @@ from .noise import NoiseFit
 from .normal import norm_cdf, normal_tail_inv
 from .signal_stats import decision_statistic
 from .spectral import Spectrum, detection_limit
-from .tracy_widom import _edge_constants, tw_cdf, tw_quantile
+from .tracy_widom import DEFAULT_BETA, _edge_constants, tw_cdf, tw_quantile
 
 
 @lru_cache(maxsize=64)
@@ -91,10 +91,10 @@ class ThresholdContext:
     gamma: float
     alpha: float
     alpha0: float
-    beta: int = 1
+    beta: int = DEFAULT_BETA
 
     def __init__(self, k: int, fit_k: NoiseFit, fit_km1: NoiseFit, spectrum: Spectrum,
-                 gamma: float, alpha: float, alpha0: float, beta: int = 1):
+                 gamma: float, alpha: float, alpha0: float, beta: int = DEFAULT_BETA):
         if fit_k.k != k or fit_km1.k != k - 1:
             raise InvalidInputError("fits do not match the step index")
         if fit_k.lambda_hat[k - 1] <= 0.0:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateModelError, InvalidInputError
 from .noise import FLOAT_MIN, SQUARE_RANGE, NoiseFit
 from .spectral import PopulationModel, Spectrum
+from .tracy_widom import DEFAULT_BETA
 
 # Pairwise strength gaps below TIE_CLAMP_SCALE * max(lambda_hat, sigma2) are
 # replaced by a sign-preserving clamp: the interaction sum is singular at
@@ -88,7 +89,7 @@ def kappa_factor(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int) -> 
 
 
 def stat_std_dev(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int,
-                 beta: int = 1) -> tuple[float, bool]:
+                 beta: int = DEFAULT_BETA) -> tuple[float, bool]:
     """Standard deviation of the decision statistic; (value, valid_flag).
 
     For strengths at or below the fluctuation threshold the radicand is
@@ -109,7 +110,7 @@ def stat_std_dev(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int,
 
 
 def fluctuation_params(lam: float, sigma2: float, p: int, n: int, q: int,
-                       beta: int = 1) -> tuple[float, float]:
+                       beta: int = DEFAULT_BETA) -> tuple[float, float]:
     """Mean (lam + sigma2) kappa and standard deviation kappa stat_std_dev of a
     supercritical spike eigenvalue: the test's formulas at population values."""
     if lam <= 0.0 or sigma2 <= 0.0:
@@ -142,7 +143,7 @@ def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
 
 
 def decision_statistic(i: int, spectrum: Spectrum, fit: NoiseFit,
-                       beta: int = 1) -> SignalStat:
+                       beta: int = DEFAULT_BETA) -> SignalStat:
     """z = (l_i - v_i) / kappa_i - sigma2: an estimate of the i-th strength."""
     if not 1 <= i <= fit.k:
         raise InvalidInputError(f"fit provides {fit.k} spikes, cannot test index {i}")

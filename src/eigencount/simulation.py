@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig
+from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig, _scan_q_hats
 from .normal import _erfc_array, norm_ppf_array
 from .spectral import PopulationModel, SnapshotMatrix, eig_sym_desc, sample_covariance
 
@@ -87,6 +87,8 @@ class ScenarioSpec:
             raise InvalidInputError(f"unknown methods: {', '.join(unknown)}")
         if not self.methods:
             raise InvalidInputError("need at least one method")
+        if self.p_list and self.n is not None:
+            raise InvalidInputError("a p sweep takes n from gamma; n cannot be set beside p_list")
 
     def sweep_points(self) -> list[tuple[int, int, int]]:
         """Resolve the sweep axis to concrete (sweep_value, p, n) points."""
@@ -189,7 +191,10 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     """One paired trial: one draw, one spectrum, every estimator on it.
 
     p and n default to the scenario's own geometry, which must then resolve
-    to a single point; sweeps pass each point explicitly.
+    to a single point; sweeps pass each point explicitly.  The requested
+    sequential scans (rmt, srmt, sns) are counted in one untraced pass,
+    the information criteria by their estimators; every q_hat equals its
+    estimator's.
     """
     if p is None or n is None:
         points = spec.sweep_points()
@@ -200,7 +205,9 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     rng = trial_rng(spec.base_seed, trial_index)
     snapshots = generate_snapshots(model, n, rng)
     spectrum = eig_sym_desc(sample_covariance(snapshots.data), n)
-    return {m: ESTIMATORS[m](spectrum, spec.config).q_hat for m in spec.methods}
+    scans = _scan_q_hats(spectrum, spec.config, spec.methods)
+    return {m: scans[m] if m in scans else ESTIMATORS[m](spectrum, spec.config).q_hat
+            for m in spec.methods}
 
 
 def _count_block(args) -> Counter:

@@ -18,6 +18,9 @@ import numpy as np
 from . import _tw_data
 from .errors import InvalidInputError
 
+# The default symmetry class: beta = 1 for real data, 2 for complex.
+DEFAULT_BETA = 1
+
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Fritsch-Butland tangents: monotone data give a monotone interpolant."""
@@ -56,7 +59,7 @@ _LISTS = {beta: (_GRID.tolist(), cdf.tolist(), _SLOPES[beta].tolist())
           for beta, cdf in _CDF.items()}
 
 
-def tw_cdf(x, beta: int = 1):
+def tw_cdf(x, beta: int = DEFAULT_BETA):
     """F_beta(x) for a scalar (returned as a float) or an array of points.
 
     Python and NumPy float scalars take a pure-Python path with the same
@@ -120,7 +123,7 @@ def _array_cdf(x, cdf: np.ndarray, slopes: np.ndarray):
     return float(out[0]) if scalar else out
 
 
-def tw_quantile(alpha: float, beta: int = 1) -> float:
+def tw_quantile(alpha: float, beta: int = DEFAULT_BETA) -> float:
     """The threshold s(alpha) with F_beta(s) = 1 - alpha, by bisection."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -166,6 +167,20 @@ class TestSignalSearchEstimator:
     def test_idealised_single_spike(self):
         spectrum = idealised_spike_spectrum(15.0, 100, 200, 0.5)
         assert ec.estimate_signal_search(spectrum).q_hat == 1
+
+    @pytest.mark.parametrize("p, n", [(5, 10), (10, 5), (6, 6), (5, 13),
+                                      (5, 14), (10, 14), (5, 20), (10, 20)])
+    def test_strong_spikes_pass_only_above_the_small_n_bound(self, p, n):
+        """For a strong spike z / delta tends to sqrt(n / 2), so z can pass
+        its threshold only when n > 2 Q^{-1}(alpha0)^2, about 13.3 at
+        alpha0 = 0.995, however strong the spike."""
+        bound = 2.0 * ec.normal_tail_inv(ec.EstimatorConfig().alpha0) ** 2
+        assert 13.0 < bound < 14.0
+        spectrum = spectrum_from_values(1e3 ** np.arange(p, 0, -1), n)
+        expected = spectrum.kmax if n > bound else 0
+        assert ec.estimate_signal_search(spectrum).q_hat == expected
+        assert ec.estimate_rmt(spectrum).q_hat == spectrum.kmax
+        assert ec.estimate_sns(spectrum).q_hat == spectrum.kmax
 
     def test_better_weak_signal_detection_than_rmt(self):
         """Paired draws with a strength just above the detection limit."""
@@ -555,3 +570,117 @@ class TestSharedComputation:
                 ec.estimate(spectrum, method)
             classes.add(type(info.value))
         assert classes == {InvalidInputError}
+
+
+SCANS = ("rmt", "srmt", "sns")
+SCAN_SUBSETS = [subset for size in (1, 2, 3) for subset in itertools.combinations(SCANS, size)]
+
+
+def preset_draws(trials=6, seed=404):
+    """Seeded desk draws of every preset: p > n, p = n and pure noise included."""
+    for name in ec.PRESET_NAMES:
+        spec = ec.preset_scenario(name, trials=trials, base_seed=seed)
+        for _, p, n in spec.sweep_points():
+            for idx in range(trials):
+                snap = generate_snapshots(spec.model(p), n, trial_rng(spec.base_seed, idx))
+                yield ec.eig_sym_desc(ec.sample_covariance(snap.data), n)
+
+
+def outcome(compute):
+    """compute(), or the class of the package error it raises."""
+    try:
+        return compute()
+    except ec.EigencountError as exc:
+        return type(exc)
+
+
+def assert_pass_matches_estimators(spectrum, config):
+    """_scan_q_hats on every non-empty subset of the scans, each on a fresh
+    copy of the spectrum (no memoised fits), against the estimators: the
+    same q_hats, or, where a requested estimator raises, its error class."""
+    from eigencount.estimators import _scan_q_hats
+    expected = {m: outcome(lambda: ec.estimate(spectrum, m, config).q_hat) for m in SCANS}
+    for subset in SCAN_SUBSETS:
+        fresh = ec.Spectrum(spectrum.eigenvalues.copy(), spectrum.p, spectrum.n)
+        got = outcome(lambda: _scan_q_hats(fresh, config, subset))
+        errors = {expected[m] for m in subset if isinstance(expected[m], type)}
+        if errors:
+            assert got in errors, (subset, got, expected)
+        else:
+            assert got == {m: expected[m] for m in subset}, (subset, got, expected)
+
+
+class TestScanPass:
+    """The one-pass count of rmt, srmt and sns that sweeps use, against the
+    traced estimators it must agree with."""
+
+    @pytest.mark.parametrize("name", ["fig4", "fig7", "fig11", "rank-deficient",
+                                      "edge", "random"])
+    def test_matches_estimators_on_golden_cases(self, name):
+        from tests.test_golden import _cases
+        config = ec.EstimatorConfig()
+        for spectrum in _cases(name):
+            assert_pass_matches_estimators(spectrum, config)
+
+    @pytest.mark.parametrize("config", [ec.EstimatorConfig(),
+                                        ec.EstimatorConfig(alpha=0.05, alpha0=0.9, beta=2)])
+    def test_matches_estimators_on_preset_draws(self, config):
+        for spectrum in preset_draws():
+            assert_pass_matches_estimators(spectrum, config)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spectrum=scan_spectra())
+    def test_matches_estimators_on_random_spectra(self, spectrum):
+        assert_pass_matches_estimators(spectrum, ec.EstimatorConfig())
+
+    def test_run_trial_counts_match_estimators(self):
+        spec = ec.preset_scenario("fig7", trials=5, base_seed=12,
+                                  methods=("sns", "aic", "rmt", "srmt"))
+        for _, p, n in spec.sweep_points():
+            for idx in range(spec.trials):
+                snap = generate_snapshots(spec.model(p), n, trial_rng(spec.base_seed, idx))
+                spectrum = ec.eig_sym_desc(ec.sample_covariance(snap.data), n)
+                expected = {m: ec.estimate(spectrum, m).q_hat for m in spec.methods}
+                result = ec.run_trial(spec, idx, p, n)
+                assert result == expected and list(result) == list(spec.methods)
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """For each _adaptive call: whether the step's two tests disagreed."""
+        from eigencount import estimators
+        calls = []
+        original = estimators._adaptive
+
+        def counting(spectrum, fit, config):
+            tw = estimators._tw_test(fit, float(spectrum.eigenvalues[fit.k - 1]), config)[1]
+            calls.append(tw != estimators._signal_search_test(spectrum, fit, config)[2])
+            return original(spectrum, fit, config)
+
+        monkeypatch.setattr(estimators, "_adaptive", counting)
+        return calls
+
+    def test_sns_is_scored_only_where_the_tests_disagree(self, scored):
+        from eigencount.estimators import (_scan_q_hats, _signal_search_test,
+                                           _tw_test)
+        config = ec.EstimatorConfig()
+        disagreements = calls = 0
+        for spectrum in preset_draws():
+            depth = len(ec.estimate_sns(spectrum, config).trace.rows)
+            for k in range(1, depth + 1):
+                fit = ec.estimate_noise_and_spikes(spectrum, k)
+                tw = _tw_test(fit, float(spectrum.eigenvalues[k - 1]), config)[1]
+                disagreements += (fit.lambda_hat[k - 1] > 0.0
+                                  and tw != _signal_search_test(spectrum, fit, config)[2])
+            scored.clear()
+            _scan_q_hats(spectrum, config, ("sns",))
+            assert all(scored)
+            calls += len(scored)
+        assert calls == disagreements > 0
+
+    def test_sns_is_not_scored_where_the_tests_always_agree(self, scored):
+        from eigencount.estimators import _scan_q_hats
+        spectrum = spectrum_from_values(np.r_[50.0, 30.0, np.linspace(1.3, 0.7, 40)], 400)
+        assert _scan_q_hats(spectrum, ec.EstimatorConfig(), SCANS) == dict.fromkeys(SCANS, 2)
+        assert scored == []
+        # The traced estimator scores every step it visits.
+        assert ec.estimate_sns(spectrum).q_hat == 2 and len(scored) == 3

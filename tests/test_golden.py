@@ -7,9 +7,12 @@ set of spectra that drive the scans through their rare branches (see
 test_edge_case_reaches_rare_branches), and a "random" set of seeded
 adversarial spectra (ties, zeros, p >> n, p = 2, 1e+-12 ranges and deep
 scans; see test_random_case_covers_its_kinds), where an estimator that
-raises contributes its error class instead of a q_hat and a trace.  A change that is meant to keep the
-arithmetic identical (caching, fast paths, refactors of the scan loops) must
-leave every hash as it is.
+raises contributes its error class instead of a q_hat and a trace.  It also
+pins the sha256 of the run_sweep CSV of every preset's desk grid (four
+trials per point, jobs=1), the path that counts trials through run_trial
+rather than the estimators.  A change that is meant to keep the arithmetic
+identical (caching, fast paths, refactors of the scan loops) must leave
+every hash as it is.
 """
 
 import hashlib
@@ -19,8 +22,8 @@ import pytest
 
 from eigencount.errors import EigencountError
 from eigencount.estimators import ESTIMATORS, METHOD_ORDER, EstimatorConfig
-from eigencount.simulation import (ScenarioSpec, generate_snapshots,
-                                   preset_scenario, trial_rng)
+from eigencount.simulation import (PRESET_NAMES, ScenarioSpec, generate_snapshots,
+                                   preset_scenario, run_sweep, trial_rng)
 from eigencount.spectral import Spectrum, eig_sym_desc, sample_covariance
 
 TRIALS = 4
@@ -140,6 +143,33 @@ def test_golden_outputs(name):
     q_digest, trace_digest = golden_digests(name)
     assert q_digest == GOLDEN[name][0], f"{name}: q_hats moved"
     assert trace_digest == GOLDEN[name][1], f"{name}: trace CSVs moved"
+
+
+SWEEP_GOLDEN = {
+    "fig1": "2b26e461a8c947bb8a58fcd5a03c88053d9f1a2897a1b2df2f837137ba5e8bd1",
+    "fig2": "e57b699ca0ccb5c36157c6d42251ff6ddc6aecbfa313f90294b1a53416a4a29b",
+    "fig3": "e57b699ca0ccb5c36157c6d42251ff6ddc6aecbfa313f90294b1a53416a4a29b",
+    "fig4": "312ac61f5c8690256c389c71af38f226a3774c924b9ce68aad5a3ded5aade3e1",
+    "fig5": "c13aa456af5fd712fa45358f43ca35017f6c6faa7895b97a3df94071c427f35d",
+    "fig6": "14fd8ab422bccefbffacbac70efa87ab91d5caa29390bf8af120315636440487",
+    "fig7": "9a7e44ceab01e14fff0e37dc487b4c19ca5053731046c5d14d6cd4904640a671",
+    "fig8": "5ef6cb048ab2df6cdeaa7d023a501f59b5371111470c7d106f2abab466b8e2e5",
+    "fig9": "f502a9cde3980120b87c2ab3c73c915dec2a211ea24b545811671363403262ed",
+    "fig10": "441a00c03d4e22e967660f43f6269faa57f83ce1b86e6af6eba3039fb4709c12",
+    "fig11": "58b96f952a49316e250d3e440cda9997e1e771180e13b7140cec7754410a59bc",
+}
+
+
+def test_sweep_golden_covers_every_preset():
+    assert sorted(SWEEP_GOLDEN) == sorted(PRESET_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_sweep_csv_golden(name):
+    csv = run_sweep(preset_scenario(name, trials=TRIALS, base_seed=BASE_SEED),
+                    jobs=1).to_csv_string()
+    assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_GOLDEN[name], \
+        f"{name}: sweep CSV moved"
 
 
 def test_rank_deficient_case_is_rank_deficient():

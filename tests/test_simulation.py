@@ -299,6 +299,10 @@ class TestScenarioParsing:
     def test_file_axis_replaces_the_preset_sweep(self, text, points):
         assert parse_scenario(text).sweep_points() == points
 
+    def test_file_n_beside_a_preset_p_sweep_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="beside p_list"):
+            parse_scenario("preset = fig4\nn = 100")
+
     def test_n_list_via_comma_value(self):
         spec = parse_scenario("p = 60\nn = 30, 60\nlambda = 5")
         assert spec.n_list == (30, 60)
@@ -351,3 +355,18 @@ class TestScenarioSpec:
             ScenarioSpec(trials=0, p=10, n=20)
         with pytest.raises(InvalidInputError):
             ScenarioSpec(methods=("nope",), p=10, n=20)
+
+    def test_n_beside_p_list_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="beside p_list"):
+            ScenarioSpec(p_list=(40, 60), gamma=0.5, n=100)
+
+    def test_preset_sweep_points_are_unchanged(self):
+        assert {name: preset_scenario(name).sweep_points() for name in PRESET_NAMES} == {
+            **dict.fromkeys(("fig1", "fig2", "fig3"),
+                            [(20, 20, 40), (40, 40, 80), (60, 60, 120)]),
+            "fig4": [(40, 40, 80), (60, 60, 120), (80, 80, 160)],
+            **dict.fromkeys(("fig5", "fig6"), [(20, 20, 10), (40, 40, 20), (60, 60, 30)]),
+            "fig7": [(60, 60, 30), (80, 80, 40), (100, 100, 50)],
+            **dict.fromkeys(("fig8", "fig9", "fig10", "fig11"),
+                            [(30, 60, 30), (60, 60, 60), (120, 60, 120)]),
+        }

@@ -193,9 +193,25 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
         return fit(sigma2_init, True, 0)
 
     _check_roots_args(leading, sigma2_init)
+    lo, hi = min(leading), max(leading)
     sigma2 = sigma2_init
     for iteration in range(1, max_iter + 1):
-        excess = _pairwise_sum(_roots_pass(leading, sigma2, shift)[2])
+        bias, four_sigma2 = sigma2 * shift, 4.0 * sigma2
+        b_lo, b_hi = lo + bias, hi + bias
+        # Below 8 terms numpy's sum is a left fold, so the excess l - root can
+        # be summed as it is formed.  l + bias and l * 4 sigma2 both grow
+        # with l, so once b_lo > 0 every square and product lies between
+        # those of lo and hi: if theirs are normal, every root takes
+        # _roots_pass's unscaled form.
+        if k < 8 and b_lo > 0.0 and FLOAT_MIN <= b_lo * b_lo and b_hi * b_hi <= FLOAT_MAX \
+                and FLOAT_MIN <= lo * four_sigma2 and hi * four_sigma2 <= FLOAT_MAX:
+            excess = 0.0
+            for l in leading:
+                b = l + bias
+                disc = b * b - l * four_sigma2
+                excess += l - (b / 2.0 if disc < 0.0 else (b + math.sqrt(disc)) / 2.0)
+        else:
+            excess = _pairwise_sum(_roots_pass(leading, sigma2, shift)[2])
         sigma2_new = (tail_sum + excess) / (p - k)
         if sigma2_new <= 0.0:
             return fit(sigma2_init, False, iteration)

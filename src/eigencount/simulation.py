@@ -10,6 +10,7 @@ of execution order -- trials can run in any order or in parallel.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -232,14 +233,63 @@ def _count_block(args) -> Counter:
     return counts
 
 
-def _process_pool(max_workers: int):
-    """The process pool of a parallel sweep.
+# Linux forks sweep workers, which its default did until Python 3.14: a
+# forked worker inherits the loaded modules, and its CPU time is reaped by
+# the caller that joins it.  Elsewhere the platform's default is used.
+_START_METHOD = "fork" if sys.platform == "linux" else None
 
-    Its module, and multiprocessing with it, is imported here on the first
-    parallel sweep rather than with the package.
+
+def _start_workers(blocks) -> list:
+    """Start one worker process per block; return its (process, reader) pairs.
+
+    Each worker counts its block and sends back the Counter, or the
+    exception the block raised, through a one-way pipe.  multiprocessing is
+    imported here, on the first parallel sweep, rather than with the
+    package.
     """
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=max_workers)
+    import multiprocessing
+    context = multiprocessing.get_context(_START_METHOD)
+    workers = []
+    for block in blocks:
+        reader, writer = context.Pipe(duplex=False)
+        process = context.Process(target=_worker, args=(block, writer))
+        process.start()
+        writer.close()  # the worker holds the only writer, so its exit ends the pipe
+        workers.append((process, reader))
+    return workers
+
+
+def _worker(block, writer) -> None:
+    """Body of a worker process: send the block's counts or its error."""
+    try:
+        message = _count_block(block), None
+    except Exception as exc:  # crosses the process boundary to the caller
+        import traceback
+        message = exc, traceback.format_exc()
+    writer.send(message)
+    writer.close()
+
+
+def _finish(process, reader):
+    """The message of one worker, or None if it sent none, once it has exited."""
+    with reader:
+        try:
+            message = reader.recv()
+        except EOFError:
+            message = None
+    process.join()
+    return message
+
+
+def _worker_counts(process, message) -> Counter:
+    """The counts in a finished worker's message; raise what it reports."""
+    if message is None:
+        raise RuntimeError(f"a sweep worker exited with code {process.exitcode} "
+                           "before sending its counts")
+    result, remote_traceback = message
+    if remote_traceback is not None:
+        raise result from RuntimeError(f"in the sweep worker:\n{remote_traceback}")
+    return result
 
 
 def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
@@ -248,13 +298,16 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     jobs is the number of processes that count trials, the caller included.
     The (point, trial) items of the whole sweep are split into
     workers = min(jobs, items) contiguous blocks whose sizes differ by at
-    most one.  The caller counts block 0 while, for workers > 1, one process
-    pool of workers - 1 processes counts the others, one block each; the
-    pool is shut down and its processes joined before the call returns,
-    also when a block raises.  The draw's erfc kernel is loaded before the
-    pool forks, so the workers inherit it and never import scipy
-    themselves.  Aggregation is a commutative count merge, so the result is
-    identical for any execution order and any number of processes.
+    most one.  The caller counts block 0 while, for workers > 1, one worker
+    process per other block counts that block.  Worker processes fork on
+    Linux and use the platform's default start method elsewhere.  The
+    caller then receives from and joins every worker before the call
+    returns, also when a block raises; a worker's exception is re-raised
+    with its own class, and a worker that exits without sending raises
+    RuntimeError.  The draw's erfc kernel is loaded before the workers
+    start, so forked workers inherit it and never import scipy themselves.
+    Aggregation is a commutative count merge, so the result is identical
+    for any execution order and any number of processes.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
@@ -266,10 +319,13 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     blocks = [(spec, points, start, stop) for start, stop in zip(bounds, bounds[1:])]
     if workers > 1:
         _erfc_array()
-        with _process_pool(workers - 1) as pool:
-            # map submits every block before the caller starts on its own.
-            others = pool.map(_count_block, blocks[1:])
-            partials = [_count_block(blocks[0]), *others]
+        started = _start_workers(blocks[1:])
+        try:
+            partials = [_count_block(blocks[0])]
+        finally:
+            messages = [_finish(process, reader) for process, reader in started]
+        partials += [_worker_counts(process, message)
+                     for (process, _), message in zip(started, messages)]
     else:
         partials = [_count_block(blocks[0])]
     totals = sum(partials, Counter())

@@ -1,6 +1,8 @@
 """What a fresh interpreter loads: `import eigencount` loads numpy and the
-package only; scipy.special comes with the first snapshot draw, and the
-process pool's modules with the first parallel sweep.
+package only; scipy.special comes with the first snapshot draw, and
+multiprocessing with the first parallel sweep, which starts its worker
+processes (forked on Linux, the platform's default start method elsewhere)
+after it has loaded scipy.special.
 
 Every check runs in a new interpreter, since the test session itself has
 long imported scipy and multiprocessing.
@@ -50,17 +52,17 @@ SWEEP = """
 import json, sys
 import eigencount as ec
 from eigencount import simulation
-opened = []
-open_pool = simulation._process_pool
-def recording_pool(max_workers):
-    opened.append("scipy.special" in sys.modules)
-    return open_pool(max_workers)
-simulation._process_pool = recording_pool
+launched = []
+start_workers = simulation._start_workers
+def recording_start(blocks):
+    launched.append("scipy.special" in sys.modules)
+    return start_workers(blocks)
+simulation._start_workers = recording_start
 spec = ec.ScenarioSpec(lambdas=(2.5,), p_list=(16,), gamma=0.5, trials=2,
                        methods=("rmt",))
 csv = ec.run_sweep(spec, jobs=int(sys.argv[1])).to_csv_string()
-print(json.dumps({"pool_loaded": "multiprocessing" in sys.modules,
-                  "opened": opened, "csv": csv}))
+print(json.dumps({"multiprocessing_loaded": "multiprocessing" in sys.modules,
+                  "launched": launched, "csv": csv}))
 """
 
 
@@ -106,11 +108,11 @@ def test_first_draw_loads_scipy_and_keeps_its_bits():
     assert draw == {"before": False, "after": True, "sha256": DRAW_SHA256}
 
 
-def test_pool_opens_after_the_kernel_is_loaded():
+def test_workers_start_after_the_kernel_is_loaded():
     serial, parallel = (json.loads(fresh_python("-c", SWEEP, jobs).stdout)
                         for jobs in ("1", "2"))
-    assert (serial["pool_loaded"], serial["opened"]) == (False, [])
+    assert (serial["multiprocessing_loaded"], serial["launched"]) == (False, [])
     # The first draw of the parallel sweep comes after the fork, so only a
-    # load before the pool opens puts scipy.special in the workers.
-    assert parallel["opened"] == [True]
+    # load before the workers start puts scipy.special in them.
+    assert parallel["launched"] == [True]
     assert parallel["csv"] == serial["csv"]

@@ -416,3 +416,37 @@ class TestOnePassIteration:
                     seen["clamped"] += any(degenerate)
         assert seen["k"] >= 8 and seen["clamped"] > 0 and seen["errors"] > 0
         assert scaled
+
+    @pytest.mark.parametrize("values, n, ks", [
+        ([1e160, 40.0, 9.0, 4.0, 2.0, 1.5, 1.0, 0.5], 50, range(2, 8)),
+        ([1.0, 0.5, 2e-160, 1e-160, 5e-161, 2e-161, 1e-161, 5e-162], 50, range(3, 8)),
+        ([3.0, 1.3, 1.2, 1.1, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5], 2, [1]),
+    ], ids=["above-the-range", "below-the-range", "negative-b"])
+    def test_fit_equals_reference_where_the_summed_loop_falls_back(self, monkeypatch,
+                                                                  values, n, ks):
+        """Below 8 spikes the iteration sums l - root as it goes, unless the
+        leading values straddle an edge of the normal range (some roots
+        scaled, some not) or l + sigma2 * shift is not positive: then every
+        iteration forms its roots through _roots_pass.  The fit equals the
+        reference either way."""
+        calls = []
+        roots_pass = ec.noise._roots_pass
+
+        def counted_roots_pass(*args):
+            calls.append(args)
+            return roots_pass(*args)
+
+        monkeypatch.setattr(ec.noise, "_roots_pass", counted_roots_pass)
+        spectrum = spectrum_from_values(values, n)
+        for k in ks:
+            scaled, calls[:] = [], []
+            sigma2, rho, degenerate, converged, iterations = \
+                reference_float_iteration(spectrum, k, scaled)
+            fit = _fixed_point(spectrum, k, DEFAULT_TOL, ec.noise.DEFAULT_MAX_ITER)
+            assert repr(fit.sigma2_hat) == repr(sigma2)
+            assert np.array(fit.rho_hat).tobytes() == np.array(rho, dtype=float).tobytes()
+            assert list(fit.degenerate_roots) == degenerate
+            assert (fit.converged, fit.iterations) == (converged, iterations)
+            assert len(calls) == fit.iterations + 1  # every iteration, then the fit
+            if k > 1:
+                assert 0 < len(set(scaled)) < k

@@ -1,5 +1,8 @@
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -116,25 +119,43 @@ class TestRunSweep:
 
 
 @pytest.fixture
-def inline_pools(monkeypatch):
-    """Replace the process pool by an in-process stand-in; list each max_workers."""
-    opened = []
+def inline_workers(monkeypatch):
+    """Count each worker's block in-process, through the worker body and a
+    pipe; list the number of workers of each launch."""
+    launched = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
+    class JoinedProcess:
+        exitcode = 0
 
-        def __enter__(self):
-            return self
+        def join(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+    def start_inline(blocks):
+        launched.append(len(blocks))
+        workers = []
+        for block in blocks:
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            simulation._worker(block, writer)
+            workers.append((JoinedProcess(), reader))
+        return workers
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+    monkeypatch.setattr(simulation, "_start_workers", start_inline)
+    return launched
 
-    monkeypatch.setattr(simulation, "_process_pool", InlinePool)
-    return opened
+
+@contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, rather than hang, if the block runs longer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSweepPool:
@@ -146,31 +167,33 @@ class TestSweepPool:
         with pytest.raises(InvalidInputError, match="jobs"):
             run_sweep(self.SPEC, jobs=jobs)
 
-    def test_workers_capped_at_work_items(self, inline_pools):
+    def test_workers_capped_at_work_items(self, inline_workers):
         one_point = replace(self.SPEC, p_list=(16,), trials=3)
         serial = run_sweep(one_point)
         assert run_sweep(one_point, jobs=64) == serial
         assert run_sweep(self.SPEC, jobs=64) == run_sweep(self.SPEC)
-        # The caller counts one block, so a pool has min(jobs, items) - 1 processes.
-        assert inline_pools == [2, 14]
+        # The caller counts one block, so min(jobs, items) - 1 workers start.
+        assert inline_workers == [2, 14]
 
-    def test_one_pool_per_call_and_workers_joined(self, monkeypatch):
-        opened = []
+    def test_one_launch_per_call_and_workers_joined(self, monkeypatch):
+        launched = []
+        start_workers = simulation._start_workers
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        def recording_start(blocks):
+            launched.append(start_workers(blocks))
+            return launched[-1]
 
-        monkeypatch.setattr(simulation, "_process_pool", CountingPool)
-        run_sweep(self.SPEC, jobs=2)
-        assert opened == [1]
+        monkeypatch.setattr(simulation, "_start_workers", recording_start)
+        assert run_sweep(self.SPEC, jobs=3) == run_sweep(self.SPEC)
+        assert [len(workers) for workers in launched] == [2]
+        # exitcode is set only once a worker has been reaped.
+        assert [process.exitcode for process, _ in launched[0]] == [0, 0]
         assert multiprocessing.active_children() == []
 
-    def test_one_item_opens_no_pool(self, inline_pools):
+    def test_one_item_starts_no_worker(self, inline_workers):
         one_item = replace(self.SPEC, p_list=(16,), trials=1)
         assert run_sweep(one_item, jobs=2) == run_sweep(one_item)
-        assert inline_pools == []
+        assert inline_workers == []
 
     def test_caller_block_error_propagates_and_workers_joined(self, monkeypatch):
         # Item 0, trial 0 of point p = 16, is in the caller's block; the
@@ -184,6 +207,58 @@ class TestSweepPool:
         with pytest.raises(ec.SolverError, match="item 0 failed"):
             run_sweep(self.SPEC, jobs=2)
         assert multiprocessing.active_children() == []
+
+    def test_worker_block_error_reaches_the_caller(self, monkeypatch):
+        # Item 14, trial 4 of point p = 24, is in the last worker's block.
+        def run_trial_failing_on_item_14(spec, trial_index, p=None, n=None):
+            if (trial_index, p) == (4, 24):
+                raise ec.SolverError("item 14 failed")
+            return run_trial(spec, trial_index, p, n)
+
+        monkeypatch.setattr(simulation, "run_trial", run_trial_failing_on_item_14)
+        with deadline(60), pytest.raises(ec.SolverError) as raised:
+            run_sweep(self.SPEC, jobs=3)
+        assert type(raised.value) is ec.SolverError
+        assert str(raised.value) == "item 14 failed"
+        assert "item 14 failed" in str(raised.value.__cause__)  # the worker's traceback
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_exits_without_sending_raises(self, monkeypatch):
+        caller, count_block = os.getpid(), simulation._count_block
+
+        def count_block_or_exit(block):
+            if os.getpid() != caller:
+                os._exit(7)
+            return count_block(block)
+
+        monkeypatch.setattr(simulation, "_count_block", count_block_or_exit)
+        with deadline(60), pytest.raises(RuntimeError, match="exited with code 7"):
+            run_sweep(self.SPEC, jobs=3)
+        assert multiprocessing.active_children() == []
+
+    def test_spawned_workers_give_the_serial_csv(self, monkeypatch):
+        # Where workers do not fork (macOS, Windows, forkserver), the blocks,
+        # the worker body and its results must pickle.
+        monkeypatch.setattr(simulation, "_START_METHOD", "spawn")
+        spec = replace(self.SPEC, p_list=(16,), trials=3)
+        assert run_sweep(spec, jobs=2).to_csv_string() == run_sweep(spec).to_csv_string()
+        assert multiprocessing.active_children() == []
+
+    def test_parallel_sweep_starts_no_thread_in_the_caller(self, monkeypatch):
+        # Forking a process that has threads is unsafe (Python 3.12 warns).
+        caller, count_block = os.getpid(), simulation._count_block
+        threads = []
+
+        def count_block_noting_threads(block):
+            if os.getpid() == caller:
+                threads.append(threading.active_count())
+            return count_block(block)
+
+        monkeypatch.setattr(simulation, "_count_block", count_block_noting_threads)
+        before = threading.active_count()
+        run_sweep(self.SPEC, jobs=3)
+        assert threads == [before]
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("p_list, trials", [((16, 20, 24), 5), ((16,), 2)])
     def test_csv_bytes_equal_for_uneven_blocks(self, p_list, trials):

@@ -186,8 +186,10 @@ class TestSweepPool:
         monkeypatch.setattr(simulation, "_start_workers", recording_start)
         assert run_sweep(self.SPEC, jobs=3) == run_sweep(self.SPEC)
         assert [len(workers) for workers in launched] == [2]
-        # exitcode is set only once a worker has been reaped.
-        assert [process.exitcode for process, _ in launched[0]] == [0, 0]
+        for process, _ in launched[0]:
+            # Reaped inside the call: waitpid finds no such child.
+            with pytest.raises(ChildProcessError):
+                os.waitpid(process.pid, os.WNOHANG)
         assert multiprocessing.active_children() == []
 
     def test_one_item_starts_no_worker(self, inline_workers):

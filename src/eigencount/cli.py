@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import DataError, EigencountError, InvalidInputError, SolverError
 from .estimators import METHOD_ORDER, EstimatorConfig, estimate
-from .simulation import (PRESET_NAMES, ScenarioSpec, parse_scenario,
+from .simulation import (PRESET_NAMES, ScenarioSpec, _parse_methods, parse_scenario,
                          preset_scenario, run_sweep)
 from .spectral import Spectrum, eig_sym_desc, sample_covariance
 from .tracy_widom import DEFAULT_BETA, tw_cdf, tw_quantile
@@ -114,8 +115,6 @@ def _cmd_trace(args) -> int:
 
 
 def _scenario_from(args) -> ScenarioSpec:
-    from dataclasses import replace
-
     if args.preset:
         spec = preset_scenario(args.preset, full_scale=args.full_scale)
     elif args.scenario:
@@ -127,13 +126,9 @@ def _scenario_from(args) -> ScenarioSpec:
         spec = parse_scenario(text)
     else:
         raise InvalidInputError("need a scenario file or --preset")
-    if args.trials is not None:
-        spec = replace(spec, trials=args.trials)
-    if args.seed is not None:
-        spec = replace(spec, base_seed=args.seed)
-    if args.methods:
-        spec = replace(spec, methods=tuple(args.methods.split(",")))
-    return spec
+    overrides = dict(trials=args.trials, base_seed=args.seed,
+                     methods=None if args.methods is None else _parse_methods(args.methods))
+    return replace(spec, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _cmd_sweep(args) -> int:
@@ -205,7 +200,7 @@ def build_parser() -> _Parser:
                        help="comma-separated method subset")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="processes counting trials, this one included "
-                            "(a pool of jobs - 1 workers)")
+                            "(jobs - 1 worker processes)")
     sweep.add_argument("--out", default=None, help="result CSV path")
     sweep.set_defaults(func=_cmd_sweep)
 

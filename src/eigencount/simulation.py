@@ -50,6 +50,10 @@ _FULL_N_GRID = (30, 60, 120, 240, 480)
 
 PRESET_NAMES = tuple(_PRESETS)
 
+# The two axes of a scenario's geometry: the fields that can set p, and those
+# that can set n.
+_AXES = (("p", "p_list"), ("n", "n_list", "gamma"))
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -59,6 +63,11 @@ class ScenarioSpec:
     convention the benchmark scenarios are printed in (the noise eigenvalues
     all equal sigma2); the corresponding signal strength of each spike is
     lambda - sigma2, so every entry must exceed sigma2.
+
+    The geometry has two axes, p (set by p or p_list) and n (by n, n_list or
+    gamma, n = round(p / gamma)); more than one field per axis, two lists, an
+    empty list or gamma <= 0 raise InvalidInputError.  A spec missing an
+    axis serves model(p) alone: sweep_points() raises on it.
     """
 
     lambdas: tuple[float, ...] = ()
@@ -88,26 +97,26 @@ class ScenarioSpec:
             raise InvalidInputError(f"unknown methods: {', '.join(unknown)}")
         if not self.methods:
             raise InvalidInputError("need at least one method")
-        if self.p_list and self.n is not None:
-            raise InvalidInputError("a p sweep takes n from gamma; n cannot be set beside p_list")
+        p_axis, n_axis = self._axis_fields()
+        if len(p_axis) > 1 or len(n_axis) > 1 or {"p_list", "n_list"} <= {*p_axis, *n_axis}:
+            raise InvalidInputError(f"conflicting geometry fields: {', '.join(p_axis + n_axis)}")
+        if any(values is not None and len(values) == 0 for values in (self.p_list, self.n_list)):
+            raise InvalidInputError("a sweep list needs at least one value")
+        if self.gamma is not None and not self.gamma > 0.0:
+            raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
+
+    def _axis_fields(self) -> list[list[str]]:
+        """The geometry fields this spec sets, per axis (p, then n)."""
+        return [[name for name in axis if getattr(self, name) is not None] for axis in _AXES]
 
     def sweep_points(self) -> list[tuple[int, int, int]]:
         """Resolve the sweep axis to concrete (sweep_value, p, n) points."""
-        if self.p_list:
-            if self.gamma is None or self.gamma <= 0.0:
-                raise InvalidInputError("a p sweep needs a positive gamma")
-            return [(p, p, max(1, round(p / self.gamma))) for p in self.p_list]
-        if self.n_list:
-            if self.p is None:
-                raise InvalidInputError("an n sweep needs a fixed p")
+        if not all(self._axis_fields()):
+            raise InvalidInputError("need a p axis (p, p_list) and an n axis (n, n_list, gamma)")
+        if self.n_list is not None:
             return [(n, self.p, n) for n in self.n_list]
-        if self.p is None:
-            raise InvalidInputError("scenario fixes neither p nor p_list")
-        if self.n is not None:
-            return [(self.p, self.p, self.n)]
-        if self.gamma is None or self.gamma <= 0.0:
-            raise InvalidInputError("need n or a positive gamma")
-        return [(self.p, self.p, max(1, round(self.p / self.gamma)))]
+        return [(p, p, self.n if self.n is not None else max(1, round(p / self.gamma)))
+                for p in self.p_list or (self.p,)]
 
     @property
     def q(self) -> int:
@@ -364,6 +373,8 @@ def _list_of(kind):
     return lambda value: tuple(kind(v) for v in value.split(",") if v.strip())
 
 
+_parse_methods = _list_of(str.strip)  # a file's methods key and the CLI's --methods
+
 # Scenario-file keys other than preset: the ScenarioSpec field each sets and
 # the parser of its value.
 _SCENARIO_KEYS = {
@@ -371,7 +382,7 @@ _SCENARIO_KEYS = {
     "sigma2": ("sigma2", float),
     "trials": ("trials", int),
     "seed": ("base_seed", int),
-    "methods": ("methods", lambda value: tuple(m.strip() for m in value.split(","))),
+    "methods": ("methods", _parse_methods),
     "gamma": ("gamma", float),
     "p": ("p", int),
     "n": ("n", int),
@@ -385,8 +396,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     Keys: preset, p, p_list, n, n_list, gamma, lambda, sigma2, trials, seed,
     methods.  '#' starts a comment; a preset line supplies defaults that the
-    remaining keys override.  A p or p_list key replaces the preset's p axis,
-    and an n or n_list key its n axis.
+    remaining keys override, a whole axis at a time: p or p_list replaces its
+    p axis, and n, n_list or gamma its n axis.  An n with commas is an n_list.
     """
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -400,16 +411,14 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise InvalidInputError(f"unknown scenario key {key!r}")
         entries[key] = value
 
-    if "preset" in entries:
-        spec = preset_scenario(entries.pop("preset"))
-    else:
-        spec = ScenarioSpec()
-
+    spec = preset_scenario(entries.pop("preset")) if "preset" in entries else ScenarioSpec()
     if "," in entries.get("n", ""):
-        entries.setdefault("n_list", entries.pop("n"))  # an n sweep; n_list wins
+        if "n_list" in entries:
+            raise InvalidInputError("an n with commas is an n_list; give n_list once")
+        entries["n_list"] = entries.pop("n")
     # Clear each axis the file sets, so that none of the preset's survives.
-    updates = {name: None for axis in ("p", "n") for name in (axis, f"{axis}_list")
-               if axis in entries or f"{axis}_list" in entries}
+    updates = {name: None for axis in _AXES if not entries.keys().isdisjoint(axis)
+               for name in axis}
     try:
         updates.update((field_name, parse(entries[key]))
                        for key, (field_name, parse) in _SCENARIO_KEYS.items() if key in entries)

@@ -139,6 +139,18 @@ class TestSweep:
         assert len(lines) == 4  # three sweep points, one method
         assert "P_e" in out  # summary table on stdout
 
+    def test_spaced_methods_list_parses_like_a_scenario_file(self, tmp_path, capsys):
+        outputs = []
+        for flag, name in (("rmt, sns", "flag.csv"), ("rmt,sns", "plain.csv")):
+            out_path = tmp_path / name
+            code, _, err = run_cli(capsys, "sweep", "--preset", "fig4", "--trials", "1",
+                                   "--methods", flag, "--out", str(out_path))
+            assert code == 0, err
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert {line.split(",")[1] for line in outputs[0].decode().splitlines()[1:]} == \
+            {"rmt", "sns"}
+
     def test_scenario_file(self, tmp_path, capsys):
         scenario = tmp_path / "scen.txt"
         scenario.write_text("p = 16\nn = 32\nlambda = 9\ntrials = 4\nseed = 2\n"

@@ -117,6 +117,14 @@ class TestRunSweep:
         keys = [(r.sweep_value, r.method) for r in rows]
         assert keys == sorted(keys)
 
+    def test_p_sweep_at_fixed_n_equals_its_single_points(self):
+        """Trials are keyed by (base_seed, trial_index) alone, so each point
+        of a p sweep at fixed n counts exactly what a one-point sweep does."""
+        spec = ScenarioSpec(lambdas=(5.0,), p_list=(12, 20), n=24, trials=6,
+                            base_seed=5, methods=("aic", "rmt", "sns"))
+        single_points = [run_sweep(replace(spec, p_list=None, p=p)).rows for p in spec.p_list]
+        assert run_sweep(spec).rows == sum(single_points, ())
+
 
 @pytest.fixture
 def inline_workers(monkeypatch):
@@ -372,24 +380,25 @@ class TestScenarioParsing:
         ("preset = fig11\nn = 100", [(60, 60, 100)]),
         ("preset = fig4\np = 60", [(60, 60, 120)]),
         ("preset = fig11\nn_list = 45, 90", [(45, 60, 45), (90, 60, 90)]),
-        ("preset = fig4\np_list = 20", [(20, 20, 40)])])
+        ("preset = fig4\np_list = 20", [(20, 20, 40)]),
+        ("preset = fig11\ngamma = 2", [(60, 60, 30)])])
     def test_file_axis_replaces_the_preset_sweep(self, text, points):
         assert parse_scenario(text).sweep_points() == points
 
-    def test_file_n_beside_a_preset_p_sweep_is_rejected(self):
-        with pytest.raises(InvalidInputError, match="beside p_list"):
-            parse_scenario("preset = fig4\nn = 100")
+    def test_file_n_beside_a_preset_p_sweep_fixes_n(self):
+        assert parse_scenario("preset = fig4\nn = 100").sweep_points() == [
+            (40, 40, 100), (60, 60, 100), (80, 80, 100)]
 
     def test_n_list_via_comma_value(self):
         spec = parse_scenario("p = 60\nn = 30, 60\nlambda = 5")
         assert spec.n_list == (30, 60)
         assert [point[1] for point in spec.sweep_points()] == [60, 60]
 
-    def test_explicit_n_list_wins_over_comma_n(self):
-        spec = parse_scenario("p = 60\nn = 30, 60\nn_list = 90, 120\nlambda = 5")
-        assert spec.n_list == (90, 120) and spec.n is None
-        spec = parse_scenario("p = 60\nn = 30\nn_list = 90\nlambda = 5")
-        assert spec.n == 30 and spec.n_list == (90,)
+    @pytest.mark.parametrize("text", ["p = 60\nn = 30, 60\nn_list = 90, 120\nlambda = 5",
+                                      "p = 60\nn = 30\nn_list = 90\nlambda = 5"])
+    def test_n_beside_n_list_is_rejected(self, text):
+        with pytest.raises(InvalidInputError, match="n_list"):
+            parse_scenario(text)
 
     def test_unknown_key_rejected_before_preset_is_built(self):
         with pytest.raises(InvalidInputError, match="bogus"):
@@ -433,9 +442,36 @@ class TestScenarioSpec:
         with pytest.raises(InvalidInputError):
             ScenarioSpec(methods=("nope",), p=10, n=20)
 
-    def test_n_beside_p_list_is_rejected(self):
-        with pytest.raises(InvalidInputError, match="beside p_list"):
-            ScenarioSpec(p_list=(40, 60), gamma=0.5, n=100)
+    @pytest.mark.parametrize("geometry, points", [
+        (dict(p_list=(20, 40), gamma=0.5), [(20, 20, 40), (40, 40, 80)]),
+        (dict(p_list=(20, 40), n=30), [(20, 20, 30), (40, 40, 30)]),
+        (dict(p=60, n_list=(30, 90)), [(30, 60, 30), (90, 60, 90)]),
+        (dict(p=60, n=30), [(60, 60, 30)]),
+        (dict(p=60, gamma=2.0), [(60, 60, 30)])])
+    def test_one_field_per_axis_resolves(self, geometry, points):
+        assert ScenarioSpec(**geometry).sweep_points() == points
+
+    @pytest.mark.parametrize("geometry", [
+        dict(p=60, p_list=(20, 40), gamma=0.5),
+        dict(p=60, n=30, n_list=(30, 60)),
+        dict(p=60, n=30, gamma=0.5),
+        dict(p=60, n_list=(30, 60), gamma=0.5),
+        dict(p_list=(20, 40), n_list=(30, 60)),
+        dict(p_list=(), gamma=0.5),
+        dict(p=60, n_list=()),
+        dict(p=60, gamma=0.0),
+        dict(p=60, gamma=float("nan"))])
+    def test_invalid_geometry_is_rejected_at_construction(self, geometry):
+        with pytest.raises(InvalidInputError):
+            ScenarioSpec(**geometry)
+
+    @pytest.mark.parametrize("geometry", [dict(), dict(p=60), dict(p_list=(20, 40)),
+                                          dict(n=30), dict(gamma=0.5)])
+    def test_spec_missing_an_axis_has_no_sweep_points(self, geometry):
+        spec = ScenarioSpec(lambdas=(3.0,), **geometry)
+        assert spec.model(10).p == 10
+        with pytest.raises(InvalidInputError, match="axis"):
+            spec.sweep_points()
 
     def test_preset_sweep_points_are_unchanged(self):
         assert {name: preset_scenario(name).sweep_points() for name in PRESET_NAMES} == {

@@ -9,6 +9,10 @@ estimators scan k upward and stop at the first rejected eigenvalue:
           z_k, calibrated to detection probability alpha0;
 * sns  -- per-step adaptive choice between the two tests driven by the
           closed-form misdetection scores.
+
+The three share one scan engine, _scan_pass: sweeps count any subset of them
+in one untraced pass, and each estimator runs the same pass on its own method
+with a decision trace.
 """
 
 from __future__ import annotations
@@ -198,18 +202,14 @@ def _stat_columns(stat: SignalStat) -> dict:
             "delta_valid": stat.delta_valid}
 
 
-def _always(criterion: str):
-    """The policy that applies one test at every step."""
-    return lambda spectrum, fit, config: (criterion, {}, None)
-
-
 def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
-    """The sns policy: pick the test whose misdetection score wins.
+    """sns's test at step k = fit.k: (criterion, trace columns, statistic).
 
-    Step 1 compares the four signal-assumption scores; if either plain score
-    beats its interacted counterpart the eigenvalue is treated as noise and
-    the TW test applies.  Otherwise step 2 compares the noise-assumption
-    scores, with the comparison orientation depending on whether gamma < 1.
+    It picks the test whose misdetection score wins.  Step 1 compares the
+    four signal-assumption scores; if either plain score beats its
+    interacted counterpart the eigenvalue is treated as noise and the TW
+    test applies.  Otherwise step 2 compares the noise-assumption scores,
+    with the comparison orientation depending on whether gamma < 1.
     """
     k = fit.k
     if fit.lambda_hat[k - 1] <= 0.0:
@@ -275,60 +275,21 @@ def _signal_search_test(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConf
     return stat, threshold, stat.z > threshold
 
 
-def _scan(spectrum: Spectrum, config: EstimatorConfig, method: str,
-          choose) -> ModelOrderEstimate:
-    """The sequential scan shared by rmt, srmt and sns.
+def _scan_pass(spectrum: Spectrum, config: EstimatorConfig, methods,
+               trace: DecisionTrace | None = None) -> dict[str, int]:
+    """The q_hat of each of rmt, srmt and sns named in methods, in one scan.
 
-    At each k = 1, 2, ... the policy choose(spectrum, fit_k, config) names
-    the test for l_k and returns extra trace columns, plus the step's
-    decision statistic if it computed one (else None); the scan stops at
-    the first rejection, so q_hat = k - 1, or spectrum.kmax if nothing
-    rejects.
+    At k = 1, 2, ..., while any requested scan still runs, the pass takes the
+    shared fit and applies the TW and signal-search tests once each, as far
+    as the running scans need them; each scan stops at its own first
+    rejection, so its q_hat is k - 1, or spectrum.kmax if nothing rejects.
+    sns applies, per step, the test its misdetection scores pick (_adaptive).
 
-    * rmt:  _tw_test;
-    * srmt: _signal_search_test, whose outright rejection of a non-positive
-      strength is flagged.
-
-    The estimate is degenerate if any step's fit or test was.
-    """
-    trace = DecisionTrace(method=method)
-    values = spectrum.eigenvalues.tolist()
-    q_hat = kmax = spectrum.kmax
-    for k in range(1, kmax + 1):
-        fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
-                                        config.solver_max_iter)
-        criterion, extra, stat = choose(spectrum, fit, config)
-        l_k = values[k - 1]
-        row = {"k": k, "l_k": l_k, "criterion": criterion,
-               "sigma2_hat": fit.sigma2_hat, "lambda_hat": fit.lambda_hat,
-               "degenerate": fit.any_degenerate, **extra}
-        if criterion == "rmt":
-            row["theta_rmt"], accepted = _tw_test(fit, l_k, config)
-        else:
-            stat, threshold, accepted = _signal_search_test(spectrum, fit, config, stat)
-            if stat is None:
-                row["degenerate"] = True
-            else:
-                row.update(_stat_columns(stat), z_k=stat.z, z_threshold=threshold)
-        row["accepted"] = accepted
-        trace.rows.append(TraceRow(**row))
-        if not accepted:
-            q_hat = k - 1
-            break
-    return ModelOrderEstimate(q_hat=q_hat, method=method, trace=trace,
-                              degenerate=any(r.degenerate for r in trace.rows))
-
-
-def _scan_q_hats(spectrum: Spectrum, config: EstimatorConfig, methods) -> dict[str, int]:
-    """The q_hat of each of rmt, srmt and sns named in methods, in one pass.
-
-    The results of their estimators without the traces.  At k = 1, 2, ...,
-    while any requested scan still runs, the pass takes the shared fit and
-    applies the TW and signal-search tests once each, as far as the running
-    scans need them; each scan stops at its own first rejection.  sns's
-    choice of test is scored (_adaptive) only where the two verdicts differ
-    and the fitted strength is positive: elsewhere it cannot change sns's
-    verdict, which is then the TW test's, as in _scan.
+    Without a trace, sns is scored only where the two verdicts differ and
+    the fitted strength is positive: elsewhere the choice cannot change its
+    verdict, which is then the TW test's.  With a trace, methods names one
+    scan and each step appends its TraceRow; sns is scored on every step,
+    before its test, which reuses the scores' statistic.
     """
     running = [m for m in ("rmt", "srmt", "sns") if m in methods]
     q_hats = {}
@@ -338,37 +299,71 @@ def _scan_q_hats(spectrum: Spectrum, config: EstimatorConfig, methods) -> dict[s
             break
         fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
                                         config.solver_max_iter)
+        l_k = values[k - 1]
         sns = "sns" in running
+        stat = None
+        if trace is None:
+            tests = ("rmt", "srmt") if sns else running
+        else:
+            criterion, extra = running[0], {}
+            if sns:
+                criterion, extra, stat = _adaptive(spectrum, fit, config)
+            tests = (criterion,)
         verdicts = {}
-        if sns or "rmt" in running:
-            verdicts["rmt"] = _tw_test(fit, values[k - 1], config)[1]
-        if sns or "srmt" in running:
-            verdicts["srmt"] = _signal_search_test(spectrum, fit, config)[2]
+        if "rmt" in tests:
+            theta, verdicts["rmt"] = _tw_test(fit, l_k, config)
+        if "srmt" in tests:
+            stat, threshold, verdicts["srmt"] = _signal_search_test(spectrum, fit, config, stat)
         if sns:
-            criterion = "rmt"
-            if verdicts["rmt"] != verdicts["srmt"] and fit.lambda_hat[k - 1] > 0.0:
-                criterion = _adaptive(spectrum, fit, config)[0]
+            if trace is None:
+                criterion = "rmt"
+                if verdicts["rmt"] != verdicts["srmt"] and fit.lambda_hat[k - 1] > 0.0:
+                    criterion = _adaptive(spectrum, fit, config)[0]
             verdicts["sns"] = verdicts[criterion]
+        if trace is not None:
+            row = {"k": k, "l_k": l_k, "criterion": criterion, "sigma2_hat": fit.sigma2_hat,
+                   "lambda_hat": fit.lambda_hat, "degenerate": fit.any_degenerate, **extra,
+                   "accepted": verdicts[criterion]}
+            if criterion == "rmt":
+                row["theta_rmt"] = theta
+            elif stat is None:
+                row["degenerate"] = True
+            else:
+                row.update(_stat_columns(stat), z_k=stat.z, z_threshold=threshold)
+            trace.rows.append(TraceRow(**row))
         for method in [m for m in running if not verdicts[m]]:
             q_hats[method] = k - 1
             running.remove(method)
     return {**q_hats, **dict.fromkeys(running, spectrum.kmax)}
 
 
+def _traced_scan(spectrum: Spectrum, config: EstimatorConfig | None,
+                 method: str) -> ModelOrderEstimate:
+    """One sequential estimator: its scan with a trace.
+
+    The estimate is degenerate if any step's fit or test was; the test is
+    when the signal-search test rejects a non-positive strength outright.
+    """
+    trace = DecisionTrace(method=method)
+    q_hat = _scan_pass(spectrum, config or EstimatorConfig(), (method,), trace)[method]
+    return ModelOrderEstimate(q_hat=q_hat, method=method, trace=trace,
+                              degenerate=any(r.degenerate for r in trace.rows))
+
+
 def estimate_rmt(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
     """Sequential Tracy-Widom test: stop at the first sub-threshold l_k."""
-    return _scan(spectrum, config or EstimatorConfig(), "rmt", _always("rmt"))
+    return _traced_scan(spectrum, config, "rmt")
 
 
 def estimate_signal_search(spectrum: Spectrum,
                            config: EstimatorConfig | None = None) -> ModelOrderEstimate:
     """Sequential detection-limit test on the corrected statistic z_k."""
-    return _scan(spectrum, config or EstimatorConfig(), "srmt", _always("srmt"))
+    return _traced_scan(spectrum, config, "srmt")
 
 
 def estimate_sns(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
     """Adaptive scan: per step, the test whose misdetection score wins."""
-    return _scan(spectrum, config or EstimatorConfig(), "sns", _adaptive)
+    return _traced_scan(spectrum, config, "sns")
 
 
 ESTIMATORS = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig, _scan_q_hats
+from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig, _scan_pass
 from .normal import _erfc_array, norm_ppf_array
 from .spectral import PopulationModel, SnapshotMatrix, eig_sym_desc, sample_covariance
 
@@ -66,8 +66,9 @@ class ScenarioSpec:
 
     The geometry has two axes, p (set by p or p_list) and n (by n, n_list or
     gamma, n = round(p / gamma)); more than one field per axis, two lists, an
-    empty list or gamma <= 0 raise InvalidInputError.  A spec missing an
-    axis serves model(p) alone: sweep_points() raises on it.
+    empty list, gamma <= 0, or a p, n or list entry below 2 raise
+    InvalidInputError, as does a gamma that gives some p an n below 2.  A
+    spec missing an axis serves model(p) alone: sweep_points() raises on it.
     """
 
     lambdas: tuple[float, ...] = ()
@@ -104,6 +105,14 @@ class ScenarioSpec:
             raise InvalidInputError("a sweep list needs at least one value")
         if self.gamma is not None and not self.gamma > 0.0:
             raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
+        for name in ("p", "n", "p_list", "n_list"):
+            value = getattr(self, name)
+            if value is not None and np.min(value) < 2:
+                raise InvalidInputError(f"every dimension must be at least 2, got {name} = {value}")
+        if self.gamma is not None and all(self._axis_fields()):
+            short = [p for _, p, n in self.sweep_points() if n < 2]
+            if short:
+                raise InvalidInputError(f"gamma = {self.gamma} gives n < 2 at p = {short[0]}")
 
     def _axis_fields(self) -> list[list[str]]:
         """The geometry fields this spec sets, per axis (p, then n)."""
@@ -115,7 +124,7 @@ class ScenarioSpec:
             raise InvalidInputError("need a p axis (p, p_list) and an n axis (n, n_list, gamma)")
         if self.n_list is not None:
             return [(n, self.p, n) for n in self.n_list]
-        return [(p, p, self.n if self.n is not None else max(1, round(p / self.gamma)))
+        return [(p, p, self.n if self.n is not None else round(p / self.gamma))
                 for p in self.p_list or (self.p,)]
 
     @property
@@ -215,7 +224,7 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     rng = trial_rng(spec.base_seed, trial_index)
     snapshots = generate_snapshots(model, n, rng)
     spectrum = eig_sym_desc(sample_covariance(snapshots.data), n)
-    scans = _scan_q_hats(spectrum, spec.config, spec.methods)
+    scans = _scan_pass(spectrum, spec.config, spec.methods)
     return {m: scans[m] if m in scans else ESTIMATORS[m](spectrum, spec.config).q_hat
             for m in spec.methods}
 
@@ -398,8 +407,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
     methods.  '#' starts a comment; a preset line supplies defaults that the
     remaining keys override, a whole axis at a time: p or p_list replaces its
     p axis, and n, n_list or gamma its n axis.  An n with commas is an n_list.
+    A key given twice, preset included, raises InvalidInputError naming both
+    lines.
     """
-    entries = {}
+    entries, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -409,7 +420,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
         key, value = (part.strip() for part in line.split("=", 1))
         if key != "preset" and key not in _SCENARIO_KEYS:
             raise InvalidInputError(f"unknown scenario key {key!r}")
-        entries[key] = value
+        if key in entries:
+            raise InvalidInputError(f"line {lineno}: {key!r} is already set on line {lines[key]}")
+        entries[key], lines[key] = value, lineno
 
     spec = preset_scenario(entries.pop("preset")) if "preset" in entries else ScenarioSpec()
     if "," in entries.get("n", ""):

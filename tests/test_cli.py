@@ -178,6 +178,17 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(scenario))
         assert code == 1 and "3two" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("p = 20\np = 40\nn = 10\n", "line 2: 'p' is already set on line 1"),
+        ("p = 10\nn = -4\n", "n = -4"),
+        ("preset = fig7\np_list = 1, 60\n", "p_list = (1, 60)"),
+        ("preset = fig11\ngamma = 50\n", "n < 2 at p = 60")])
+    def test_repeated_key_or_short_dimension_exits_1(self, tmp_path, capsys, text, message):
+        scenario = tmp_path / "scen.txt"
+        scenario.write_text(text)
+        code, _, err = run_cli(capsys, "sweep", str(scenario))
+        assert code == 1 and message in err
+
     def test_missing_scenario_exits_1(self, capsys):
         code, _, _ = run_cli(capsys, "sweep")
         assert code == 1

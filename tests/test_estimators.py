@@ -595,14 +595,15 @@ def outcome(compute):
 
 
 def assert_pass_matches_estimators(spectrum, config):
-    """_scan_q_hats on every non-empty subset of the scans, each on a fresh
-    copy of the spectrum (no memoised fits), against the estimators: the
-    same q_hats, or, where a requested estimator raises, its error class."""
-    from eigencount.estimators import _scan_q_hats
+    """The untraced _scan_pass on every non-empty subset of the scans, each
+    on a fresh copy of the spectrum (no memoised fits), against the traced
+    estimators: the same q_hats, or, where a requested estimator raises, its
+    error class."""
+    from eigencount.estimators import _scan_pass
     expected = {m: outcome(lambda: ec.estimate(spectrum, m, config).q_hat) for m in SCANS}
     for subset in SCAN_SUBSETS:
         fresh = ec.Spectrum(spectrum.eigenvalues.copy(), spectrum.p, spectrum.n)
-        got = outcome(lambda: _scan_q_hats(fresh, config, subset))
+        got = outcome(lambda: _scan_pass(fresh, config, subset))
         errors = {expected[m] for m in subset if isinstance(expected[m], type)}
         if errors:
             assert got in errors, (subset, got, expected)
@@ -611,8 +612,8 @@ def assert_pass_matches_estimators(spectrum, config):
 
 
 class TestScanPass:
-    """The one-pass count of rmt, srmt and sns that sweeps use, against the
-    traced estimators it must agree with."""
+    """The one scan pass of rmt, srmt and sns: untraced, as sweeps run it,
+    against the traced estimators it must agree with."""
 
     @pytest.mark.parametrize("name", ["fig4", "fig7", "fig11", "rank-deficient",
                                       "edge", "random"])
@@ -660,8 +661,7 @@ class TestScanPass:
         return calls
 
     def test_sns_is_scored_only_where_the_tests_disagree(self, scored):
-        from eigencount.estimators import (_scan_q_hats, _signal_search_test,
-                                           _tw_test)
+        from eigencount.estimators import _scan_pass, _signal_search_test, _tw_test
         config = ec.EstimatorConfig()
         disagreements = calls = 0
         for spectrum in preset_draws():
@@ -672,15 +672,41 @@ class TestScanPass:
                 disagreements += (fit.lambda_hat[k - 1] > 0.0
                                   and tw != _signal_search_test(spectrum, fit, config)[2])
             scored.clear()
-            _scan_q_hats(spectrum, config, ("sns",))
+            _scan_pass(spectrum, config, ("sns",))
             assert all(scored)
             calls += len(scored)
         assert calls == disagreements > 0
 
     def test_sns_is_not_scored_where_the_tests_always_agree(self, scored):
-        from eigencount.estimators import _scan_q_hats
+        from eigencount.estimators import _scan_pass
         spectrum = spectrum_from_values(np.r_[50.0, 30.0, np.linspace(1.3, 0.7, 40)], 400)
-        assert _scan_q_hats(spectrum, ec.EstimatorConfig(), SCANS) == dict.fromkeys(SCANS, 2)
+        assert _scan_pass(spectrum, ec.EstimatorConfig(), SCANS) == dict.fromkeys(SCANS, 2)
         assert scored == []
         # The traced estimator scores every step it visits.
         assert ec.estimate_sns(spectrum).q_hat == 2 and len(scored) == 3
+
+    @pytest.mark.parametrize("method", SCANS)
+    def test_traced_scan_computes_one_statistic_per_positive_strength_step(
+            self, method, monkeypatch):
+        """A traced sns step scores first and its signal-search test reuses
+        the scores' statistic; srmt computes one per tested step; rmt none.
+        No statistic exists where the fitted strength is non-positive."""
+        from eigencount import estimators, probabilities
+        calls = []
+        original = estimators.decision_statistic
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(estimators, "decision_statistic", counting)
+        monkeypatch.setattr(probabilities, "decision_statistic", counting)
+        config = ec.EstimatorConfig()
+        steps = 0
+        for spectrum in preset_draws(trials=3):
+            calls.clear()
+            rows = ec.estimate(spectrum, method, config).trace.rows
+            positive = [r.k for r in rows if r.lambda_hat[r.k - 1] > 0.0]
+            assert calls == ([] if method == "rmt" else positive)
+            steps += len(positive)
+        assert steps > 0

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import signal
 import threading
 from contextlib import contextmanager
@@ -426,6 +427,15 @@ class TestScenarioParsing:
         with pytest.raises(InvalidInputError):
             parse_scenario("lambda = 5\ntrials = 2")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p = 20\np = 40\nn = 10", "line 2: 'p' is already set on line 1"),
+        ("preset = fig4\n# fig7 instead\n\npreset = fig7", "line 4: 'preset' is already set on line 1"),
+        ("p = 60\nn = 30, 60\nlambda = 5\nn = 90", "line 4: 'n' is already set on line 2"),
+        ("p = 60\nn = 30\nlambda = 5\nlambda = 5", "line 4: 'lambda' is already set on line 3")])
+    def test_repeated_key_is_rejected_naming_its_lines(self, text, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            parse_scenario(text)
+
 
 class TestScenarioSpec:
     def test_model_conversion_subtracts_noise_floor(self):
@@ -447,7 +457,9 @@ class TestScenarioSpec:
         (dict(p_list=(20, 40), n=30), [(20, 20, 30), (40, 40, 30)]),
         (dict(p=60, n_list=(30, 90)), [(30, 60, 30), (90, 60, 90)]),
         (dict(p=60, n=30), [(60, 60, 30)]),
-        (dict(p=60, gamma=2.0), [(60, 60, 30)])])
+        (dict(p=60, gamma=2.0), [(60, 60, 30)]),
+        (dict(p=2, n=2), [(2, 2, 2)]),
+        (dict(p_list=(3, 4), gamma=1.5), [(3, 3, 2), (4, 4, 3)])])
     def test_one_field_per_axis_resolves(self, geometry, points):
         assert ScenarioSpec(**geometry).sweep_points() == points
 
@@ -463,6 +475,18 @@ class TestScenarioSpec:
         dict(p=60, gamma=float("nan"))])
     def test_invalid_geometry_is_rejected_at_construction(self, geometry):
         with pytest.raises(InvalidInputError):
+            ScenarioSpec(**geometry)
+
+    @pytest.mark.parametrize("geometry, message", [
+        (dict(p=10, n=-4), "n = -4"),
+        (dict(p=0), "p = 0"),
+        (dict(n=1), "n = 1"),
+        (dict(p_list=(10, -3)), r"p_list = \(10, -3\)"),
+        (dict(p=60, n_list=(30, 1)), r"n_list = \(30, 1\)"),
+        (dict(p=10, gamma=20.0), "n < 2 at p = 10"),
+        (dict(p_list=(40, 10), gamma=8.0), "n < 2 at p = 10")])
+    def test_dimension_below_two_is_rejected_at_construction(self, geometry, message):
+        with pytest.raises(InvalidInputError, match=message):
             ScenarioSpec(**geometry)
 
     @pytest.mark.parametrize("geometry", [dict(), dict(p=60), dict(p_list=(20, 40)),

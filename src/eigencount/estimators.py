@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -57,6 +58,16 @@ class EstimatorConfig:
             raise InvalidInputError("alpha0 must lie in (0.5, 1)")
         if self.beta not in (1, 2):
             raise InvalidInputError("beta must be 1 or 2")
+        if not 0.0 < self.solver_tol < math.inf:
+            raise InvalidInputError(f"solver_tol must be positive and finite, got {self.solver_tol}")
+        if not isinstance(self.solver_max_iter, numbers.Integral) or self.solver_max_iter < 1:
+            raise InvalidInputError(
+                f"solver_max_iter must be an integer of at least 1, got {self.solver_max_iter!r}")
+        if not 0.0 < self.modified_aic_c < math.inf:
+            raise InvalidInputError(
+                f"modified_aic_c must be positive and finite, got {self.modified_aic_c}")
+        if not isinstance(self.real_dof, (bool, np.bool_)):
+            raise InvalidInputError(f"real_dof must be a bool, got {self.real_dof!r}")
 
 
 class TraceRow(NamedTuple):

@@ -110,43 +110,6 @@ def _scaled_root(l: float, b: float, sigma2: float) -> tuple[float, bool]:
     return 0.5 * b + 0.5 * scale * math.sqrt(unit_disc), False
 
 
-def _pairwise_sum(values: list[float]) -> float:
-    """Sum of a list of floats in numpy's order, so it equals np.sum bit for bit.
-
-    numpy adds a float64 vector from an initial 0.0: a plain left fold below
-    8 elements, 8 interleaved partial sums up to 128 elements, and above
-    that the two halves (split at a multiple of 8) summed recursively.  The
-    builtin sum() is no substitute: from Python 3.12 it compensates float
-    sums.
-    """
-    if len(values) < 8:
-        # A left fold from 0.0 never yields -0.0, so the leading 0.0 + is moot.
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    return 0.0 + _pairwise(values, 0, len(values))
-
-
-def _pairwise(values: list[float], start: int, stop: int) -> float:
-    """numpy's pairwise sum of values[start:stop], which holds 8 or more."""
-    count = stop - start
-    if count <= 128:
-        lanes = values[start:start + 8]
-        tail = stop - count % 8
-        for i in range(start + 8, tail, 8):
-            for j in range(8):
-                lanes[j] += values[i + j]
-        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + \
-            ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        for i in range(tail, stop):
-            total += values[i]
-        return total
-    half = count // 2
-    half -= half % 8
-    return _pairwise(values, start, start + half) + _pairwise(values, start + half, stop)
-
-
 def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
                               tol: float = DEFAULT_TOL,
                               max_iter: int = DEFAULT_MAX_ITER) -> NoiseFit:
@@ -167,9 +130,10 @@ def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
 def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> NoiseFit:
     """The fixed-point iteration on Python floats.
 
-    Every sum is formed in numpy's order (_pairwise_sum), and the
-    initialiser tail_sum / (p - k) is how numpy forms the mean, so the fit
-    is bit-identical to the same iteration on float64 arrays.  The roots'
+    The trailing sum is numpy's, and the initialiser tail_sum / (p - k) is
+    how numpy forms the mean.  The spike excess sum(l - root) is a left
+    fold from 0.0 in eigenvalue order at every k; builtin sum() would not
+    do, since from Python 3.12 it compensates float sums.  The roots'
     arguments are checked once: every later noise iterate is positive.
     """
     p, n = spectrum.p, spectrum.n
@@ -198,20 +162,20 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
     for iteration in range(1, max_iter + 1):
         bias, four_sigma2 = sigma2 * shift, 4.0 * sigma2
         b_lo, b_hi = lo + bias, hi + bias
-        # Below 8 terms numpy's sum is a left fold, so the excess l - root can
-        # be summed as it is formed.  l + bias and l * 4 sigma2 both grow
-        # with l, so once b_lo > 0 every square and product lies between
-        # those of lo and hi: if theirs are normal, every root takes
-        # _roots_pass's unscaled form.
-        if k < 8 and b_lo > 0.0 and FLOAT_MIN <= b_lo * b_lo and b_hi * b_hi <= FLOAT_MAX \
+        # l + bias and l * 4 sigma2 both grow with l, so once b_lo > 0 every
+        # square and product lies between those of lo and hi: if theirs are
+        # normal, every root takes _roots_pass's unscaled form, and the
+        # excess l - root is summed as it is formed.
+        excess = 0.0
+        if b_lo > 0.0 and FLOAT_MIN <= b_lo * b_lo and b_hi * b_hi <= FLOAT_MAX \
                 and FLOAT_MIN <= lo * four_sigma2 and hi * four_sigma2 <= FLOAT_MAX:
-            excess = 0.0
             for l in leading:
                 b = l + bias
                 disc = b * b - l * four_sigma2
                 excess += l - (b / 2.0 if disc < 0.0 else (b + math.sqrt(disc)) / 2.0)
         else:
-            excess = _pairwise_sum(_roots_pass(leading, sigma2, shift)[2])
+            for term in _roots_pass(leading, sigma2, shift)[2]:
+                excess += term
         sigma2_new = (tail_sum + excess) / (p - k)
         if sigma2_new <= 0.0:
             return fit(sigma2_init, False, iteration)

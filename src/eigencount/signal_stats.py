@@ -85,6 +85,8 @@ def kappa_factor(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int) -> 
     """Finite-sample inflation factor 1 + (p - q) sigma^2 / (n lambda)."""
     if lambda_hat_i <= 0.0:
         raise InvalidInputError("signal strength must be positive")
+    if n < 1:
+        raise InvalidInputError(f"need n >= 1, got {n}")
     return 1.0 + (p - q) * sigma2 / (n * lambda_hat_i)
 
 

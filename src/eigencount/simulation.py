@@ -10,6 +10,7 @@ of execution order -- trials can run in any order or in parallel.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -327,8 +328,8 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     Aggregation is a commutative count merge, so the result is identical
     for any execution order and any number of processes.
     """
-    if jobs < 1:
-        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
+    if not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise InvalidInputError(f"jobs must be an integer of at least 1, got {jobs!r}")
     points = spec.sweep_points()
     total = len(points) * spec.trials
     workers = min(jobs, total)

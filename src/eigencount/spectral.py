@@ -188,7 +188,7 @@ def eig_sym_desc(matrix: np.ndarray, n: int) -> Spectrum:
 
 def detection_limit(sigma2: float, gamma: float) -> float:
     """Smallest asymptotically detectable signal strength, sigma^2 sqrt(gamma)."""
-    if sigma2 <= 0.0 or gamma <= 0.0:
+    if not (sigma2 > 0.0 and gamma > 0.0):
         raise InvalidInputError("need sigma2 > 0 and gamma > 0")
     return sigma2 * math.sqrt(gamma)
 
@@ -199,7 +199,7 @@ def spike_limit(lam: float, sigma2: float, gamma: float) -> float:
     Supercritical spikes escape the bulk; subcritical ones stick to the
     Marchenko-Pastur upper edge sigma^2 (1 + sqrt(gamma))^2.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise InvalidInputError("signal strength must be positive")
     if lam > detection_limit(sigma2, gamma):
         return (lam + sigma2) * (1.0 + gamma * sigma2 / lam)

@@ -4,7 +4,8 @@ The CDF is evaluated from an embedded table (see scripts/make_tw_table.py
 for regeneration) through a shape-preserving monotone cubic interpolant,
 so the interpolated CDF is itself monotone and the quantile is well
 defined.  Outside the table the CDF saturates to 0 / 1; the tabulated
-endpoints already carry less than 1e-9 of probability mass.
+endpoints already carry less than 1e-9 of probability mass.  The
+interpolant is evaluated once per point, on Python floats.
 """
 
 from __future__ import annotations
@@ -53,23 +54,29 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _GRID = np.round(np.arange(_tw_data.X_MIN, _tw_data.X_MAX + _tw_data.STEP / 2,
                            _tw_data.STEP), 6)
 _CDF = {1: np.array(_tw_data.CDF_BETA1), 2: np.array(_tw_data.CDF_BETA2)}
-_SLOPES = {beta: _pchip_slopes(_GRID, cdf) for beta, cdf in _CDF.items()}
-# The same data as lists of Python floats, for scalar calls.
-_LISTS = {beta: (_GRID.tolist(), cdf.tolist(), _SLOPES[beta].tolist())
+# Grid, CDF values and interpolant slopes as lists of Python floats.
+_LISTS = {beta: (_GRID.tolist(), cdf.tolist(), _pchip_slopes(_GRID, cdf).tolist())
           for beta, cdf in _CDF.items()}
 
 
 def tw_cdf(x, beta: int = DEFAULT_BETA):
     """F_beta(x) for a scalar (returned as a float) or an array of points.
 
-    Python and NumPy float scalars take a pure-Python path with the same
-    arithmetic as the array path, so both give identical bits.  NaN is
-    rejected.
+    Each point is evaluated on Python floats; an array argument is evaluated
+    point by point and returned as an array of its shape.  NaN and
+    non-numeric arguments are rejected.
     """
     if beta not in _LISTS:
         raise InvalidInputError(f"beta must be 1 or 2, got {beta}")
     if not isinstance(x, (float, int)):
-        return _array_cdf(x, _CDF[beta], _SLOPES[beta])
+        try:
+            points = np.asarray(x, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"Tracy-Widom CDF argument is not numeric: {x!r}") from exc
+        if points.ndim == 0:
+            return tw_cdf(float(points), beta)
+        values = [tw_cdf(value, beta) for value in points.ravel().tolist()]
+        return np.array(values).reshape(points.shape)
     x = float(x)
     if x != x:
         raise InvalidInputError("Tracy-Widom CDF argument is NaN")
@@ -83,44 +90,14 @@ def tw_cdf(x, beta: int = DEFAULT_BETA):
     t = (x - grid[i]) / h
     y0, y1 = cdf[i], cdf[i + 1]
     m0, m1 = slopes[i] * h, slopes[i + 1] * h
-    # _array_cdf's Hermite increment, term for term.
+    # Evaluate the Hermite cubic as y0 plus an increment polynomial: all
+    # arithmetic then happens at the increment scale, so rounding cannot
+    # break monotonicity even where y1 - y0 is a few ulps.
     delta = y1 - y0
     c2 = 3.0 * delta - 2.0 * m0 - m1
     c3 = m0 + m1 - 2.0 * delta
     increment = t * (m0 + t * (c2 + t * c3))
-    # [y0, y1] lies inside [0, 1], so _array_cdf's final clip is a no-op.
     return min(max(y0 + increment, y0), y1)
-
-
-def _array_cdf(x, cdf: np.ndarray, slopes: np.ndarray):
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise InvalidInputError("Tracy-Widom CDF argument is NaN")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    below = x <= _GRID[0]
-    above = x >= _GRID[-1]
-    out[below] = 0.0
-    out[above] = 1.0
-    inside = ~(below | above)
-    if np.any(inside):
-        xi = x[inside]
-        idx = np.searchsorted(_GRID, xi, side="right") - 1
-        h = _GRID[idx + 1] - _GRID[idx]
-        t = (xi - _GRID[idx]) / h
-        y0, y1 = cdf[idx], cdf[idx + 1]
-        m0, m1 = slopes[idx] * h, slopes[idx + 1] * h
-        # Evaluate the Hermite cubic as y0 plus an increment polynomial:
-        # all arithmetic then happens at the increment scale, so rounding
-        # cannot break monotonicity even where y1 - y0 is a few ulps.
-        delta = y1 - y0
-        c2 = 3.0 * delta - 2.0 * m0 - m1
-        c3 = m0 + m1 - 2.0 * delta
-        increment = t * (m0 + t * (c2 + t * c3))
-        out[inside] = np.clip(y0 + increment, y0, y1)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out
 
 
 def tw_quantile(alpha: float, beta: int = DEFAULT_BETA) -> float:

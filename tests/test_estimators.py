@@ -271,12 +271,15 @@ class TestCommonProperties:
         assert len(lines) == len(trace.rows) + 1
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            ec.EstimatorConfig(alpha=0.0)
-        with pytest.raises(InvalidInputError):
-            ec.EstimatorConfig(alpha0=0.4)
-        with pytest.raises(InvalidInputError):
-            ec.EstimatorConfig(beta=3)
+        for field, value in [
+                ("alpha", 0.0), ("alpha0", 0.4), ("beta", 3),
+                ("solver_tol", float("nan")), ("solver_tol", 0.0), ("solver_tol", -1e-8),
+                ("solver_tol", float("inf")), ("solver_max_iter", -3), ("solver_max_iter", 0),
+                ("solver_max_iter", 50.0), ("modified_aic_c", float("nan")),
+                ("modified_aic_c", float("inf")), ("modified_aic_c", -1.0),
+                ("modified_aic_c", 0.0), ("real_dof", "yes")]:
+            with pytest.raises(InvalidInputError, match=field):
+                ec.EstimatorConfig(**{field: value})
 
 
 class TestSequentialDegenerateFlag:
@@ -305,6 +308,26 @@ class TestSequentialDegenerateFlag:
             assert (row.criterion, row.accepted, row.degenerate) == (criterion, False, True)
             assert row.z_k is None and row.pe_srmt_plain is None
             assert result.degenerate
+
+    def test_sns_takes_the_tw_verdict_at_a_non_positive_strength(self, monkeypatch):
+        """A k = 2 fit whose strength is patched to -0.5, so that TW accepts
+        l_2 and signal search rejects it unscored.  No natural spectrum has
+        that pair of verdicts; untraced and traced sns must both take TW's."""
+        fit_noise = ec.estimators.estimate_noise_and_spikes
+
+        def patched(spectrum, k, *args):
+            fit = fit_noise(spectrum, k, *args)
+            return fit._replace(lambda_hat=(fit.lambda_hat[0], -0.5)) if k == 2 else fit
+
+        monkeypatch.setattr(ec.estimators, "estimate_noise_and_spikes", patched)
+        spectrum = spectrum_from_values([50.0, 40.0] + [1.0] * 18, 200)
+        config = ec.EstimatorConfig()
+        q_hats = ec.estimators._scan_pass(spectrum, config, ("rmt", "srmt", "sns"))
+        assert q_hats == {"rmt": 2, "srmt": 1, "sns": 2}
+        result = ec.estimate_sns(spectrum, config)
+        assert result.q_hat == q_hats["sns"]
+        row = result.trace.rows[1]
+        assert (row.k, row.criterion, row.accepted, row.degenerate) == (2, "rmt", True, True)
 
     def test_flag_clear_on_a_clean_scan(self):
         # Every scan accepts both steps with unclamped roots.

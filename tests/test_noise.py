@@ -222,7 +222,8 @@ class TestSharedFits:
 
 def reference_fixed_point(spectrum, k, tol=ec.noise.DEFAULT_TOL,
                           max_iter=ec.noise.DEFAULT_MAX_ITER):
-    """The fixed point on float64 arrays, the oracle for the float iteration:
+    """The fixed point on float64 arrays, the oracle for the float iteration,
+    with the spike excess summed left to right:
     (sigma2, rho, degenerate, converged, iterations)."""
     p, n = spectrum.p, spectrum.n
     vals = spectrum.eigenvalues
@@ -240,7 +241,7 @@ def reference_fixed_point(spectrum, k, tol=ec.noise.DEFAULT_TOL,
     sigma2 = sigma2_init
     for iteration in range(1, max_iter + 1):
         rho, _ = roots(sigma2)
-        sigma2_new = float(vals[k:].sum() + (leading - rho).sum()) / (p - k)
+        sigma2_new = float(vals[k:].sum() + np.add.accumulate(leading - rho)[-1]) / (p - k)
         if sigma2_new <= 0.0:
             return (sigma2_init, *roots(sigma2_init), False, iteration)
         if abs(sigma2_new - sigma2) < tol * sigma2_new:
@@ -250,17 +251,6 @@ def reference_fixed_point(spectrum, k, tol=ec.noise.DEFAULT_TOL,
 
 
 class TestFloatFixedPoint:
-    def test_pairwise_sum_is_numpy_sum(self):
-        # A wide dynamic range makes every change of summation order show.
-        rng = np.random.default_rng(10)
-        for length in range(0, 301):
-            for _ in range(5):
-                values = rng.normal(size=length) * 10.0 ** rng.uniform(-8.0, 8.0, length)
-                assert repr(ec.noise._pairwise_sum(values.tolist())) == \
-                    repr(float(values.sum())), length
-            zeros = np.full(length, -0.0)
-            assert repr(ec.noise._pairwise_sum(zeros.tolist())) == repr(float(zeros.sum()))
-
     def test_mean_is_sum_over_count(self):
         # The fit's initialiser tail_sum / (p - k) is numpy's mean.
         rng = np.random.default_rng(7)
@@ -361,8 +351,9 @@ def _reference_spike_roots(leading, sigma2, shift, scaled):
 
 def reference_float_iteration(spectrum, k, scaled, tol=DEFAULT_TOL,
                               max_iter=ec.noise.DEFAULT_MAX_ITER):
-    """The float fixed point with the roots and their excess sum formed in
-    separate passes: (sigma2, rho, degenerate, converged, iterations)."""
+    """The float fixed point with the roots and their excess sum, left to
+    right, formed in separate passes:
+    (sigma2, rho, degenerate, converged, iterations)."""
     p, n = spectrum.p, spectrum.n
     vals = spectrum.eigenvalues
     tail_sum = float(vals[k:].sum())
@@ -378,7 +369,7 @@ def reference_float_iteration(spectrum, k, scaled, tol=DEFAULT_TOL,
     sigma2 = sigma2_init
     for iteration in range(1, max_iter + 1):
         rho, _ = roots(sigma2)
-        excess = float(np.array([l - r for l, r in zip(leading, rho)]).sum())
+        excess = float(np.add.accumulate(np.array([l - r for l, r in zip(leading, rho)]))[-1])
         sigma2_new = (tail_sum + excess) / (p - k)
         if sigma2_new <= 0.0:
             return (sigma2_init, *roots(sigma2_init), False, iteration)
@@ -421,11 +412,11 @@ class TestOnePassIteration:
         ([1e160, 40.0, 9.0, 4.0, 2.0, 1.5, 1.0, 0.5], 50, range(2, 8), False),
         ([1.0, 0.5, 2e-160, 1e-160, 5e-161, 2e-161, 1e-161, 5e-162], 50, range(3, 8), False),
         ([3.0, 1.3, 1.2, 1.1, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5], 2, [1], False),
-        ([40.0, 9.0, 4.0, 2.0, 1.5, 1.0, 0.5, 0.4, 0.3, 0.2], 50, range(1, 8), True),
+        ([40.0, 9.0, 4.0, 2.0, 1.5, 1.0, 0.5, 0.4, 0.3, 0.2], 50, range(1, 10), True),
     ], ids=["above-the-range", "below-the-range", "negative-b", "in-range"])
     def test_fit_equals_reference_where_the_summed_loop_falls_back(self, monkeypatch,
                                                                   values, n, ks, summed):
-        """Below 8 spikes the iteration sums l - root as it goes, unless the
+        """At every k the iteration sums l - root as it goes, unless the
         leading values straddle an edge of the normal range (some roots
         scaled, some not) or l + sigma2 * shift is not positive: then every
         iteration forms its roots through _roots_pass.  The fit equals the

@@ -116,6 +116,21 @@ class TestKappaFactor:
         with pytest.raises(InvalidInputError):
             kappa_factor(0.0, 1.0, 10, 1, 10)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("formula", ["kappa_factor", "fluctuation_params",
+                                         "lawley_expectation"])
+    def test_sample_count_below_one_rejected(self, formula, n):
+        """Not inf with a RuntimeWarning, a raw ZeroDivisionError or a math
+        domain error, and not a number for a negative n."""
+        call = {
+            "kappa_factor": lambda: kappa_factor(3.0, 1.0, 10, 1, n),
+            "fluctuation_params": lambda: ec.fluctuation_params(3.0, 1.0, 10, n, 1),
+            "lawley_expectation": lambda: ec.lawley_expectation(
+                1, ec.PopulationModel(np.array([4.0]), 1.0, 100), n),
+        }[formula]
+        with pytest.raises(InvalidInputError, match="n >= 1"):
+            call()
+
 
 class TestStatStdDev:
     def test_example(self):

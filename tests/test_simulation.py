@@ -171,7 +171,7 @@ class TestSweepPool:
     SPEC = ScenarioSpec(lambdas=(2.5,), p_list=(16, 20, 24), gamma=0.5, trials=5,
                         base_seed=12, methods=("rmt", "sns", "aic"))
 
-    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", None])
     def test_non_positive_jobs_rejected(self, jobs):
         with pytest.raises(InvalidInputError, match="jobs"):
             run_sweep(self.SPEC, jobs=jobs)

@@ -179,6 +179,19 @@ class TestAsymptoticFormulas:
         bulk = sigma2 * (1.0 + math.sqrt(gamma)) ** 2
         assert supercritical == pytest.approx(bulk, abs=1e-12)
 
+    @pytest.mark.parametrize("formula, args", [
+        ("spike_limit", (math.nan, 1.0, 0.5)),
+        ("spike_limit", (2.0, math.nan, 0.5)),
+        ("spike_limit", (2.0, 1.0, math.nan)),
+        ("detection_limit", (math.nan, 0.5)),
+        ("detection_limit", (1.0, math.nan)),
+    ])
+    def test_nan_rejected(self, formula, args):
+        """NaN is not taken for a subcritical strength (the bulk edge) or
+        passed through."""
+        with pytest.raises(InvalidInputError):
+            getattr(ec, formula)(*args)
+
     def test_fluctuation_example(self):
         tau, delta = ec.fluctuation_params(5.0, 1.0, p=100, n=200, q=2, beta=1)
         assert tau == pytest.approx(6.0 * (1.0 + 0.49 / 5.0), rel=1e-14)

@@ -245,7 +245,7 @@ class TestGoldenBits:
 
 
 class TestScalarCdfPath:
-    """Scalar calls take a pure-Python path; it must match the array path."""
+    """An array is evaluated point by point; its values keep the scalar bits."""
 
     @pytest.mark.parametrize("beta", (1, 2))
     def test_scalar_equals_array_bit_for_bit(self, beta):
@@ -259,6 +259,11 @@ class TestScalarCdfPath:
 
     def test_integer_argument(self):
         assert ec.tw_cdf(0) == ec.tw_cdf(np.array([0.0]))[0]
+
+    @pytest.mark.parametrize("bad", ("a", ["a", 0.0], {"x": 0.0}))
+    def test_non_numeric_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            ec.tw_cdf(bad)
 
     @pytest.mark.parametrize("bad", (float("nan"), np.float64("nan"),
                                      np.array(np.nan), np.array([0.0, np.nan])))

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,7 +30,7 @@ from .noise import DEFAULT_MAX_ITER, DEFAULT_TOL, NoiseFit, estimate_noise_and_s
 from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
                             pe_rmt, pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import SignalStat, decision_statistic
-from .spectral import Spectrum
+from .spectral import Spectrum, _check_integer
 from .tracy_widom import DEFAULT_BETA
 
 LOG_CLAMP = -700.0
@@ -60,14 +59,15 @@ class EstimatorConfig:
             raise InvalidInputError("beta must be 1 or 2")
         if not 0.0 < self.solver_tol < math.inf:
             raise InvalidInputError(f"solver_tol must be positive and finite, got {self.solver_tol}")
-        if not isinstance(self.solver_max_iter, numbers.Integral) or self.solver_max_iter < 1:
-            raise InvalidInputError(
-                f"solver_max_iter must be an integer of at least 1, got {self.solver_max_iter!r}")
+        _check_integer("solver_max_iter", self.solver_max_iter, 1)
         if not 0.0 < self.modified_aic_c < math.inf:
             raise InvalidInputError(
                 f"modified_aic_c must be positive and finite, got {self.modified_aic_c}")
         if not isinstance(self.real_dof, (bool, np.bool_)):
             raise InvalidInputError(f"real_dof must be a bool, got {self.real_dof!r}")
+        # Python floats, so that a numpy scalar given here reaches no scan value.
+        for name in ("alpha", "alpha0", "solver_tol", "modified_aic_c"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 class TraceRow(NamedTuple):
@@ -100,6 +100,21 @@ class TraceRow(NamedTuple):
 
 
 TRACE_COLUMNS = TraceRow._fields
+_ACCEPTED = TRACE_COLUMNS.index("accepted")
+
+
+def _pinned_accepted(row: TraceRow) -> str:
+    """The accepted cell of a trace row, as the pinned trace digests spell it.
+
+    True/False on a row that applies the TW test, and on a signal-search row
+    at k >= 2 that computed z_k; 1/0 on every other row, as for the other
+    bool columns.  The spelling is kept so that the golden trace digests and
+    perfbench's seed-0 trace fingerprints hold; ROADMAP item 1 deletes this
+    helper and regenerates them.
+    """
+    if row.criterion == "rmt" or (row.k >= 2 and row.z_k is not None):
+        return str(row.accepted)
+    return str(int(row.accepted))
 
 
 @dataclass
@@ -125,6 +140,7 @@ class DecisionTrace:
                     record.append(f"{value:.10g}")
                 else:
                     record.append(str(value))
+            record[_ACCEPTED] = _pinned_accepted(row)
             writer.writerow(record)
 
     def to_csv_string(self) -> str:
@@ -170,13 +186,23 @@ def _compute_likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
     return terms, degenerate
 
 
-def _information_criterion(spectrum: Spectrum, config: EstimatorConfig,
+def _resolve_config(config: EstimatorConfig | None) -> EstimatorConfig:
+    """config, or the default EstimatorConfig for None; any other value raises."""
+    if config is None:
+        return EstimatorConfig()
+    if not isinstance(config, EstimatorConfig):
+        raise InvalidInputError(f"config must be an EstimatorConfig or None, got {config!r}")
+    return config
+
+
+def _information_criterion(spectrum: Spectrum, config: EstimatorConfig | None,
                            method: str) -> ModelOrderEstimate:
     """q_hat = argmin over k of factor * likelihood term + coefficient * dof.
 
     (factor, coefficient) is (2, 2) for aic, (1, ln(n) / 2) for mdl and
     (2, 2 c) for maic, with c = config.modified_aic_c.
     """
+    config = _resolve_config(config)
     if method == "aic":
         factor, coefficient = 2.0, 2.0
     elif method == "mdl":
@@ -194,18 +220,18 @@ def _information_criterion(spectrum: Spectrum, config: EstimatorConfig,
 
 def estimate_aic(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
     """Akaike information criterion."""
-    return _information_criterion(spectrum, config or EstimatorConfig(), "aic")
+    return _information_criterion(spectrum, config, "aic")
 
 
 def estimate_mdl(spectrum: Spectrum, config: EstimatorConfig | None = None) -> ModelOrderEstimate:
     """Minimum description length (Rissanen's criterion)."""
-    return _information_criterion(spectrum, config or EstimatorConfig(), "mdl")
+    return _information_criterion(spectrum, config, "mdl")
 
 
 def estimate_modified_aic(spectrum: Spectrum,
                           config: EstimatorConfig | None = None) -> ModelOrderEstimate:
     """AIC with its penalty scaled by config.modified_aic_c."""
-    return _information_criterion(spectrum, config or EstimatorConfig(), "maic")
+    return _information_criterion(spectrum, config, "maic")
 
 
 def _stat_columns(stat: SignalStat) -> dict:
@@ -356,7 +382,7 @@ def _traced_scan(spectrum: Spectrum, config: EstimatorConfig | None,
     when the signal-search test rejects a non-positive strength outright.
     """
     trace = DecisionTrace(method=method)
-    q_hat = _scan_pass(spectrum, config or EstimatorConfig(), (method,), trace)[method]
+    q_hat = _scan_pass(spectrum, _resolve_config(config), (method,), trace)[method]
     return ModelOrderEstimate(q_hat=q_hat, method=method, trace=trace,
                               degenerate=any(r.degenerate for r in trace.rows))
 

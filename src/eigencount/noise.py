@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .spectral import Spectrum
+from .spectral import Spectrum, _check_integer
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -123,6 +123,7 @@ def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
     The fit is memoised on the spectrum per (k, tol, max_iter), so every
     estimator scanning the same spectrum shares one solve per k.
     """
+    _check_integer("k", k, 0)
     return spectrum._memoised(("noise_fit", k, tol, max_iter),
                               lambda: _fixed_point(spectrum, k, tol, max_iter))
 

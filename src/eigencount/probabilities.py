@@ -41,6 +41,18 @@ def _z_threshold(sigma2: float, gamma: float, delta: float, alpha0: float) -> fl
     return detection_limit(sigma2, gamma) - delta * _q_inv(alpha0)
 
 
+def _quotient(a: float, b: float) -> float:
+    """a / b for b >= 0; at b = 0, IEEE's +-inf, or NaN for 0 / 0 and NaN / 0.
+
+    The statistic's deviation underflows to zero on spectra of subnormal
+    eigenvalues at large n.  The score it divides then saturates, or turns
+    NaN, which ProbPair rejects, as float64 arithmetic would have it.
+    """
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) if a and a == a else math.nan
+
+
 def _tw_edge(fit: NoiseFit) -> tuple[float, float, float]:
     """(noise level, TW centering, TW scaling) of the p - k noise eigenvalues
     that the fit's hypothesis k leaves."""
@@ -158,17 +170,12 @@ def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
         # Subcritical strength: the test cannot detect such a spike.
         p_miss = 1.0
     else:
-        arg = -((theta + v) / stat.kappa - ctx._bulk_edge) / stat.delta
+        arg = -_quotient((theta + v) / stat.kappa - ctx._bulk_edge, stat.delta)
         p_miss = norm_cdf(arg)
 
     if with_interaction:
         edge_scale = sigma2 * sc
-        # A subnormal noise level can take sigma2 * sc down to zero.  stat.v
-        # is an np.float64 (see interaction_term); divided as a Python float
-        # it gives the same bits, and where the quotient leaves the float
-        # range it saturates to the same +-inf without numpy's overflow
-        # warning.
-        v = float(stat.v)
+        # A subnormal noise level can take sigma2 * sc down to zero.
         offset = v / edge_scale if edge_scale else v / sigma2 / sc
         p_false = 1.0 - tw_cdf(_s_alpha(ctx.alpha, ctx.beta) - offset, ctx.beta)
     else:
@@ -187,11 +194,9 @@ def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
     elif not with_interaction:
         p_miss = 1.0 - ctx.alpha0
     else:
-        p_miss = norm_cdf(_q_inv(ctx.alpha0) + stat.v / (stat.kappa * stat.delta))
+        p_miss = norm_cdf(_q_inv(ctx.alpha0) + _quotient(stat.v, stat.kappa * stat.delta))
 
-    # A Python float v, as in pe_rmt: same bits, and an argument out of the
-    # float range saturates to +-inf without a warning.
-    v = float(stat.v) if with_interaction else 0.0
+    v = stat.v if with_interaction else 0.0
     sigma2, mu, sc, _ = ctx._edge(assume_signal)
     p_false = 1.0 - tw_cdf(((ctx._theta_srmt + v) / sigma2 - mu) / sc, ctx.beta)
     return ProbPair(p_miss=p_miss, p_false=p_false)

@@ -10,8 +10,6 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateModelError, InvalidInputError
 from .noise import FLOAT_MIN, SQUARE_RANGE, NoiseFit
 from .spectral import PopulationModel, Spectrum
@@ -49,10 +47,7 @@ def _tie_clamp(max_strength: float, sigma2: float) -> float:
 def interaction_term(i: int, lambda_hat: Sequence[float], sigma2: float, n: int) -> float:
     """Pairwise eigenvalue-interaction bias on the i-th (1-based) strength.
 
-    The sum runs on the strengths as given, Python floats for a fit.  For
-    q >= 2 the result is returned as an np.float64, as the array code it
-    replaces did: the statistic z built from it, and the accept flag
-    compared against z, keep that type.
+    The sum runs on the strengths as given, Python floats for a fit.
     """
     q = len(lambda_hat)
     if not 1 <= i <= q:
@@ -78,7 +73,7 @@ def interaction_term(i: int, lambda_hat: Sequence[float], sigma2: float, n: int)
         else:
             # The product would overflow or underflow: divide first.
             total += other * (tested / gap)
-    return np.float64(total / n)
+    return total / n
 
 
 def kappa_factor(lambda_hat_i: float, sigma2: float, p: int, q: int, n: int) -> float:
@@ -133,11 +128,12 @@ def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
     Strengths closer than the interaction term's tie clamp are rejected, so
     the clamp never alters the value.
     """
-    lam, sigma2, q = model.signal_strengths, model.noise_variance, model.q
+    lam, sigma2, q = model.signal_strengths.tolist(), model.noise_variance, model.q
     if not 1 <= j <= q:
         raise InvalidInputError(f"index must lie in 1..{q}, got {j}")
     # The strengths are sorted descending, so adjacent gaps are the smallest.
-    if np.any(lam[:-1] - lam[1:] < _tie_clamp(float(lam[0]), sigma2)):
+    clamp = _tie_clamp(lam[0], sigma2)
+    if any(a - b < clamp for a, b in zip(lam, lam[1:])):
         raise DegenerateModelError("signal strengths must be distinct")
     lam_j = lam[j - 1]
     return ((lam_j + sigma2) * kappa_factor(lam_j, sigma2, model.p, q, n)

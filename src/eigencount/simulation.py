@@ -10,7 +10,7 @@ of execution order -- trials can run in any order or in parallel.
 
 from __future__ import annotations
 
-import numbers
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -18,9 +18,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig, _scan_pass
+from .estimators import (METHOD_ORDER, ESTIMATORS, EstimatorConfig, _resolve_config,
+                         _scan_pass)
 from .normal import _erfc_array, norm_ppf_array
-from .spectral import PopulationModel, SnapshotMatrix, eig_sym_desc, sample_covariance
+from .spectral import (PopulationModel, SnapshotMatrix, _check_integer, _is_integer,
+                       eig_sym_desc, sample_covariance)
 
 DESK_TRIALS = 1000
 FULL_TRIALS = 3000
@@ -67,9 +69,12 @@ class ScenarioSpec:
 
     The geometry has two axes, p (set by p or p_list) and n (by n, n_list or
     gamma, n = round(p / gamma)); more than one field per axis, two lists, an
-    empty list, gamma <= 0, or a p, n or list entry below 2 raise
-    InvalidInputError, as does a gamma that gives some p an n below 2.  A
-    spec missing an axis serves model(p) alone: sweep_points() raises on it.
+    empty list, gamma <= 0, or a p, n or list entry that is not an integer of
+    at least 2 raise InvalidInputError, as does a gamma that gives some p an
+    n below 2.  So do a sigma2 or lambda that is not finite, trials that is
+    not an integer of at least 1, a base_seed that is not a non-negative
+    integer, and a config that is not an EstimatorConfig.  A spec missing an
+    axis serves model(p) alone: sweep_points() raises on it.
     """
 
     lambdas: tuple[float, ...] = ()
@@ -85,15 +90,16 @@ class ScenarioSpec:
     config: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise InvalidInputError("sigma2 must be positive")
-        if any(l <= self.sigma2 for l in self.lambdas):
+        if not 0.0 < self.sigma2 < math.inf:
+            raise InvalidInputError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if not all(self.sigma2 < l < math.inf for l in self.lambdas):
             raise InvalidInputError(
-                "spike eigenvalues must exceed sigma2 (their strength is lambda - sigma2)")
-        if self.trials < 1:
-            raise InvalidInputError("need at least one trial")
-        if self.base_seed < 0:
-            raise InvalidInputError("base_seed must be non-negative")
+                "lambdas must be finite and exceed sigma2 (their strength is lambda - sigma2), "
+                f"got {self.lambdas}")
+        _check_integer("trials", self.trials, 1)
+        _check_integer("base_seed", self.base_seed, 0)
+        if not isinstance(self.config, EstimatorConfig):
+            raise InvalidInputError(f"config must be an EstimatorConfig, got {self.config!r}")
         unknown = [m for m in self.methods if m not in ESTIMATORS]
         if unknown:
             raise InvalidInputError(f"unknown methods: {', '.join(unknown)}")
@@ -108,8 +114,12 @@ class ScenarioSpec:
             raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
         for name in ("p", "n", "p_list", "n_list"):
             value = getattr(self, name)
-            if value is not None and np.min(value) < 2:
-                raise InvalidInputError(f"every dimension must be at least 2, got {name} = {value}")
+            if value is None:
+                continue
+            entries = value if name.endswith("_list") else (value,)
+            if not all(_is_integer(entry) and entry >= 2 for entry in entries):
+                raise InvalidInputError(
+                    f"every dimension must be an integer of at least 2, got {name} = {value}")
         if self.gamma is not None and all(self._axis_fields()):
             short = [p for _, p, n in self.sweep_points() if n < 2]
             if short:
@@ -200,6 +210,7 @@ def generate_snapshots(model: PopulationModel, n: int,
     Uniform draws are mapped through the package's inverse-normal kernel in
     a fixed row-major order, so the matrix depends only on the stream state.
     """
+    _check_integer("n", n, 2)
     u = rng.random(size=(model.p, n))
     z = norm_ppf_array(np.maximum(u, 2.0**-64))
     scale = np.sqrt(model.covariance_diagonal())
@@ -328,8 +339,7 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     Aggregation is a commutative count merge, so the result is identical
     for any execution order and any number of processes.
     """
-    if not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise InvalidInputError(f"jobs must be an integer of at least 1, got {jobs!r}")
+    _check_integer("jobs", jobs, 1)
     points = spec.sweep_points()
     total = len(points) * spec.trials
     workers = min(jobs, total)
@@ -368,7 +378,7 @@ def preset_scenario(name: str, trials: int | None = None, base_seed: int = 0,
         trials = FULL_TRIALS if full_scale else DESK_TRIALS
     kwargs = dict(lambdas=preset["lambda"], trials=trials,
                   base_seed=base_seed, methods=methods,
-                  config=config or EstimatorConfig())
+                  config=_resolve_config(config))
     if "gamma" in preset:
         default = _FULL_P_GRID if full_scale else preset.get("desk_grid", _DESK_P_GRID)
         kwargs.update(gamma=preset["gamma"], p_list=tuple(default))

@@ -4,6 +4,7 @@ finite-sample eigenvalue formulas for the spiked covariance model."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,19 @@ from .errors import InvalidInputError, SolverError
 NEG_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-10
 SORT_RTOL = 1e-12
+
+
+def _is_integer(value) -> bool:
+    """Whether value is an integer: numpy integers are; a bool, a float (2.0
+    included) or NaN is not."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise InvalidInputError unless value is an integer of at least minimum."""
+    if not _is_integer(value) or value < minimum:
+        raise InvalidInputError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +75,14 @@ class Spectrum:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_integer("p", self.p, 1)
+        _check_integer("n", self.n, 1)
         vals = np.asarray(self.eigenvalues, dtype=float)
-        if vals.ndim != 1 or vals.size != self.p or self.p < 1:
+        if vals.ndim != 1 or vals.size != self.p:
             raise InvalidInputError("eigenvalues must be a non-empty length-p vector")
-        if self.n < 1:
-            raise InvalidInputError("sample count must be positive")
+        # Python ints, so that numpy integers give no numpy scalar in the scans.
+        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "n", int(self.n))
         if not np.all(np.isfinite(vals)):
             raise InvalidInputError("eigenvalues contain non-finite entries")
         # Round-off tolerances relative to the largest magnitude, so the
@@ -123,14 +140,19 @@ class PopulationModel:
     p: int
 
     def __post_init__(self):
+        _check_integer("p", self.p, 1)
         lam = np.atleast_1d(np.asarray(self.signal_strengths, dtype=float))
         if lam.size >= self.p:
             raise InvalidInputError("need q < p")
+        if not np.all(np.isfinite(lam)):
+            raise InvalidInputError(f"signal_strengths must be finite, got {lam}")
         if lam.size and (np.any(lam <= 0.0) or np.any(np.diff(lam) > 0.0)):
             raise InvalidInputError("signal strengths must be positive and descending")
-        if self.noise_variance <= 0.0:
-            raise InvalidInputError("noise variance must be positive")
+        if not 0.0 < self.noise_variance < math.inf:
+            raise InvalidInputError(
+                f"noise_variance must be positive and finite, got {self.noise_variance}")
         object.__setattr__(self, "signal_strengths", lam)
+        object.__setattr__(self, "noise_variance", float(self.noise_variance))
 
     @property
     def q(self) -> int:

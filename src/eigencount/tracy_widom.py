@@ -105,7 +105,7 @@ def tw_quantile(alpha: float, beta: int = DEFAULT_BETA) -> float:
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     target = 1.0 - alpha
-    lo, hi = _GRID[0], _GRID[-1]
+    lo, hi = float(_GRID[0]), float(_GRID[-1])
     while hi - lo > 1e-8:  # at least one step, so tw_cdf checks beta
         mid = 0.5 * (lo + hi)
         if tw_cdf(mid, beta) < target:

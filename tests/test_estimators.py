@@ -277,9 +277,48 @@ class TestCommonProperties:
                 ("solver_tol", float("inf")), ("solver_max_iter", -3), ("solver_max_iter", 0),
                 ("solver_max_iter", 50.0), ("modified_aic_c", float("nan")),
                 ("modified_aic_c", float("inf")), ("modified_aic_c", -1.0),
-                ("modified_aic_c", 0.0), ("real_dof", "yes")]:
+                ("modified_aic_c", 0.0), ("real_dof", "yes"), ("solver_max_iter", True)]:
             with pytest.raises(InvalidInputError, match=field):
                 ec.EstimatorConfig(**{field: value})
+        # config itself must be None or an EstimatorConfig: {} and 0 are not
+        # the defaults.
+        spectrum = spectrum_from_values([30.0, 2.0, 1.0, 0.5], 10)
+        for config in ("x", {}, 0):
+            for method in ec.METHOD_ORDER:
+                with pytest.raises(InvalidInputError, match="config"):
+                    ec.estimate(spectrum, method, config)
+            with pytest.raises(InvalidInputError, match="config"):
+                ec.ScenarioSpec(p=10, n=20, config=config)
+            with pytest.raises(InvalidInputError, match="config"):
+                ec.preset_scenario("fig4", config=config)
+
+
+WEAK_SECOND = ([4.47, 4.4, 2.3, 2.04, 1.42, 1.38, 1.34, 0.91, 0.56], 56)
+TWO_SPIKES = ([50.0, 40.0] + [1.0] * 18, 200)
+
+
+class TestAcceptedSpelling:
+    """The trace CSV spells accepted True/False on rows that apply the TW
+    test and on signal-search rows at k >= 2 with a statistic, and 1/0 on
+    the others: the spelling the golden trace digests pin."""
+
+    @pytest.mark.parametrize("spectrum, method, cells", [
+        (TWO_SPIKES, "rmt", [("rmt", "True"), ("rmt", "True"), ("rmt", "False")]),
+        # srmt at k = 1, at k = 2, and rejecting a non-positive strength at k = 3.
+        (TWO_SPIKES, "srmt", [("srmt", "1"), ("srmt", "True"), ("srmt", "0")]),
+        (([50.0, 3.0] + [1.0] * 18, 50), "srmt", [("srmt", "1"), ("srmt", "False")]),
+        (WEAK_SECOND, "srmt", [("srmt", "0")]),
+        # sns under each criterion.
+        (TWO_SPIKES, "sns", [("rmt", "True"), ("rmt", "True"), ("rmt", "False")]),
+        (WEAK_SECOND, "sns", [("rmt", "True"), ("srmt", "True"), ("rmt", "False")])])
+    def test_spelling_per_row_kind(self, spectrum, method, cells):
+        trace = ec.estimate(spectrum_from_values(*spectrum), method).trace
+        lines = trace.to_csv_string().splitlines()[1:]
+        accepted = TRACE_COLUMNS.index("accepted")
+        assert [(row.criterion, line.split(",")[accepted])
+                for row, line in zip(trace.rows, lines)] == cells
+        if method == "srmt" and len(cells) == 3:
+            assert trace.rows[-1].z_k is None and trace.rows[-1].degenerate
 
 
 class TestSequentialDegenerateFlag:
@@ -584,6 +623,20 @@ class TestSharedComputation:
             for name in record._fields:
                 with pytest.raises(AttributeError):
                     setattr(record, name, getattr(record, name))
+
+    def test_numpy_scalar_inputs_give_python_trace_values(self):
+        """numpy integers as p and n and numpy floats in the config reach no
+        trace cell: Spectrum and EstimatorConfig store Python numbers."""
+        values = np.array([4.47, 4.4, 2.3, 2.04, 1.42, 1.38, 1.34, 0.91, 0.56])
+        spectrum = ec.Spectrum(values, np.int64(9), np.int64(56))
+        config = ec.EstimatorConfig(alpha=np.float64(0.05), alpha0=np.float64(0.9),
+                                    solver_tol=np.float64(1e-8))
+        assert (type(spectrum.p), type(spectrum.n), type(config.alpha)) == (int, int, float)
+        for method in ("rmt", "srmt", "sns"):
+            for row in ec.estimate(spectrum, method, config).trace.rows:
+                for value in row:
+                    cells = value if type(value) is tuple else (value,)
+                    assert all(type(cell).__module__ == "builtins" for cell in cells), row
 
     def test_all_zero_spectrum_same_error_class(self):
         spectrum = spectrum_from_values(np.zeros(6), 10)

@@ -172,6 +172,28 @@ def test_sweep_csv_golden(name):
         f"{name}: sweep CSV moved"
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_values_are_python_scalars(name):
+    """Every trace row of every golden spectrum holds Python values: accepted
+    is a bool, and each other cell None, an int, a str, a float, a bool or a
+    tuple of floats; no numpy scalar."""
+    kinds = (type(None), int, str, float, bool)
+    config = EstimatorConfig()
+    for spectrum in _cases(name):
+        for method in SCAN_METHODS:
+            try:
+                rows = ESTIMATORS[method](spectrum, config).trace.rows
+            except EigencountError:
+                continue
+            for row in rows:
+                assert type(row.accepted) is bool
+                for value in row:
+                    if type(value) is tuple:
+                        assert all(type(v) is float for v in value)
+                    else:
+                        assert type(value) in kinds, (method, row)
+
+
 def test_rank_deficient_case_is_rank_deficient():
     spectrum = next(_cases("rank-deficient"))
     assert spectrum.p == 20 and spectrum.n == 10

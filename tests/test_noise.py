@@ -160,6 +160,15 @@ class TestJointSolver:
         with pytest.raises(InvalidInputError):
             ec.estimate_noise_and_spikes(spectrum, 5)  # min(p, n) - 1 = 4
 
+    @pytest.mark.parametrize("k", [1.5, 1.0, True, float("nan")])
+    def test_k_must_be_an_integer(self, k):
+        """Also after the fit at k = 1 is memoised, where True and 1.0 would
+        find it under their equal key."""
+        spectrum = spectrum_from_values([30.0, 2.0, 1.0, 0.5], 10)
+        ec.estimate_noise_and_spikes(spectrum, 1)
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            ec.estimate_noise_and_spikes(spectrum, k)
+
 
 class TestSharedFits:
     def test_roots_equal_solve_rho_per_root(self):

@@ -6,8 +6,8 @@ import pytest
 import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.normal import norm_cdf
-from eigencount.probabilities import (ProbPair, ThresholdContext, _z_threshold, pe_rmt,
-                                      pe_srmt)
+from eigencount.probabilities import (ProbPair, ThresholdContext, _quotient, _z_threshold,
+                                      pe_rmt, pe_srmt)
 from eigencount.signal_stats import stat_std_dev
 from eigencount.tracy_widom import centering_mu, scaling_sigma, tw_cdf, tw_quantile
 from tests.conftest import sampled_spectrum
@@ -52,6 +52,13 @@ class TestThetaRmt:
         a = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200)
         b = synthetic_ctx([12.0, 8.0], 2.0, p=100, n=200)
         assert ec.theta_rmt(b) == pytest.approx(2.0 * ec.theta_rmt(a), rel=1e-12)
+
+
+    def test_python_floats_from_a_fit(self):
+        spectrum = sampled_spectrum([8.0, 5.0], p=60, n=120, seed=1234)
+        ctx = make_ctx(spectrum, 2)
+        assert type(ec.theta_rmt(ctx)) is float
+        assert type(ec.theta_rmt(ctx, assume_signal=False)) is float
 
 
 class TestThetaSrmt:
@@ -189,6 +196,27 @@ class TestPeSrmt:
         ctx = synthetic_ctx([6.0, subcritical], 1.0, p=100, n=200)
         assert pe_srmt(ctx, with_interaction=True).p_miss == 1.0
         assert pe_srmt(ctx, with_interaction=False).p_miss == 1.0
+
+
+class TestUnderflowedDeviation:
+    """On subnormal eigenvalues at large n the statistic's deviation
+    underflows to zero.  The scores divide by it as float64 arithmetic does,
+    to +-inf or NaN, and never raise a raw ZeroDivisionError."""
+
+    def test_quotient_by_zero_follows_ieee(self):
+        assert _quotient(3.0, 2.0) == 1.5
+        assert _quotient(2.0, 0.0) == math.inf
+        assert _quotient(-2.0, 0.0) == -math.inf
+        assert math.isnan(_quotient(0.0, 0.0))
+        assert math.isnan(_quotient(math.nan, 0.0))
+
+    def test_sns_raises_a_typed_error(self):
+        spectrum = ec.Spectrum.from_values([1.63e-314, 2e-317, 3.5e-323, 2e-323], 1087)
+        row = ec.estimate_signal_search(spectrum).trace.rows[-1]
+        assert (row.k, row.delta_k, row.delta_valid) == (3, 0.0, True)
+        # The NaN score of the last step is rejected as ProbPair rejects it.
+        with pytest.raises(InvalidInputError, match="probabilities"):
+            ec.estimate_sns(spectrum)
 
 
 class TestProbPair:

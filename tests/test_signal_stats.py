@@ -65,8 +65,10 @@ class TestInteractionTerm:
             interaction_term(3, np.array([2.0, 1.0]), 1.0, 10)
 
     def test_matches_array_reference_bit_for_bit(self):
-        """The float loop against the np.float64 loop it replaces, ties and
-        the np.float64 result type included."""
+        """The float loop against the np.float64 loop it replaces, ties
+        included.  Fed an array, the loop sums np.float64 strengths, so it
+        returns an np.float64; a fit's Python floats give a float
+        (test_python_float_from_a_fit)."""
         rng = np.random.default_rng(21)
         for _ in range(300):
             q = int(rng.integers(2, 12))
@@ -88,6 +90,16 @@ class TestInteractionTerm:
                 value = interaction_term(i, lam, sigma2, n)
                 assert type(value) is np.float64
                 assert repr(value) == repr(total / n)
+
+    def test_python_float_from_a_fit(self, strong_two_spike_fit):
+        _, fit = strong_two_spike_fit
+        for i in (1, 2):
+            assert type(interaction_term(i, fit.lambda_hat, fit.sigma2_hat, fit.n)) is float
+
+    def test_lawley_expectation_is_a_python_float(self):
+        model = ec.PopulationModel(np.array([9.0, 4.0]), np.float64(1.0), 50)
+        for j in (1, 2):
+            assert type(ec.lawley_expectation(j, model, 100)) is float
 
     @pytest.mark.parametrize("power", [-560, -520, 520, 560])
     def test_products_out_of_float_range(self, power):

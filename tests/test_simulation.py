@@ -49,6 +49,12 @@ class TestGeneration:
         snap = generate_snapshots(model, 13, trial_rng(1, 0))
         assert (snap.p, snap.n) == (7, 13)
 
+    @pytest.mark.parametrize("n", [2.5, True, float("nan"), -4, 1])
+    def test_sample_count_must_be_an_integer_of_at_least_two(self, n):
+        model = ec.PopulationModel(np.array([4.0]), 1.0, 10)
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            generate_snapshots(model, n, trial_rng(1, 0))
+
     def test_law_of_large_numbers_trace(self):
         model = ec.PopulationModel(np.array([]), 1.0, 10)
         snap = generate_snapshots(model, 10_000, trial_rng(2, 0))
@@ -171,7 +177,7 @@ class TestSweepPool:
     SPEC = ScenarioSpec(lambdas=(2.5,), p_list=(16, 20, 24), gamma=0.5, trials=5,
                         base_seed=12, methods=("rmt", "sns", "aic"))
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", None])
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2", None, True])
     def test_non_positive_jobs_rejected(self, jobs):
         with pytest.raises(InvalidInputError, match="jobs"):
             run_sweep(self.SPEC, jobs=jobs)
@@ -484,10 +490,33 @@ class TestScenarioSpec:
         (dict(p_list=(10, -3)), r"p_list = \(10, -3\)"),
         (dict(p=60, n_list=(30, 1)), r"n_list = \(30, 1\)"),
         (dict(p=10, gamma=20.0), "n < 2 at p = 10"),
-        (dict(p_list=(40, 10), gamma=8.0), "n < 2 at p = 10")])
+        (dict(p_list=(40, 10), gamma=8.0), "n < 2 at p = 10"),
+        (dict(p=10.5, n=20), "p = 10.5"),
+        (dict(p=10, n=True), "n = True"),
+        (dict(p=10, n=float("nan")), "n = nan"),
+        (dict(p_list=(20, 40.0), gamma=0.5), r"p_list = \(20, 40.0\)"),
+        (dict(p=60, n_list=(30, 60.5)), r"n_list = \(30, 60.5\)")])
     def test_dimension_below_two_is_rejected_at_construction(self, geometry, message):
         with pytest.raises(InvalidInputError, match=message):
             ScenarioSpec(**geometry)
+
+    @pytest.mark.parametrize("counts, message", [
+        (dict(trials=2.5), "trials must be an integer"),
+        (dict(trials=True), "trials must be an integer"),
+        (dict(base_seed=1.5), "base_seed must be an integer"),
+        (dict(base_seed=float("nan")), "base_seed must be an integer")])
+    def test_non_integer_count_is_rejected_at_construction(self, counts, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ScenarioSpec(p=10, n=20, **counts)
+
+    @pytest.mark.parametrize("values, field", [
+        (dict(sigma2=float("nan")), "sigma2"),
+        (dict(sigma2=float("inf")), "sigma2"),
+        (dict(lambdas=(float("nan"),)), "lambdas"),
+        (dict(lambdas=(5.0, float("inf"))), "lambdas")])
+    def test_non_finite_model_value_is_rejected_at_construction(self, values, field):
+        with pytest.raises(InvalidInputError, match=field):
+            ScenarioSpec(p=10, n=20, **values)
 
     @pytest.mark.parametrize("geometry", [dict(), dict(p=60), dict(p_list=(20, 40)),
                                           dict(n=30), dict(gamma=0.5)])

@@ -261,6 +261,24 @@ class TestTypes:
             assert result.q_hat == len(result.trace.rows) == spectrum.kmax
         assert _likelihood_terms(spectrum)[0].size == spectrum.kmax + 1
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Spectrum.from_values([30.0, 2.0, 1.0, 0.5], 2.5), "n must be an integer"),
+        (lambda: Spectrum(np.array([30.0, 2.0, 1.0, 0.5]), 4.0, 10), "p must be an integer"),
+        (lambda: Spectrum.from_values([30.0, 2.0, 1.0, 0.5], True), "n must be an integer"),
+        (lambda: Spectrum.from_values([30.0, 2.0, 1.0, 0.5], float("nan")),
+         "n must be an integer"),
+        (lambda: ec.PopulationModel(np.array([3.0]), 1.0, 10.5), "p must be an integer"),
+        (lambda: ec.PopulationModel(np.array([3.0]), 1.0, True), "p must be an integer")])
+    def test_non_integer_dimension_rejected(self, build, message):
+        """A float, a bool or NaN dimension is rejected where it enters,
+        not by a raw TypeError in the scans or the draw."""
+        with pytest.raises(InvalidInputError, match=message):
+            build()
+
+    def test_numpy_integer_dimensions_accepted(self):
+        spectrum = Spectrum(np.array([3.0, 2.0, 1.0]), np.int64(3), np.int32(10))
+        assert spectrum.kmax == 2
+
     def test_spectrum_rejects_disorder(self):
         with pytest.raises(InvalidInputError):
             Spectrum(np.array([1.0, 2.0]), 2, 4)
@@ -297,6 +315,16 @@ class TestTypes:
             ec.PopulationModel(np.array([1.0]), 1.0, 1)  # q >= p
         model = ec.PopulationModel(np.array([3.0, 1.0]), 2.0, 4)
         np.testing.assert_allclose(model.covariance_diagonal(), [5.0, 3.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("strengths, noise_variance, field", [
+        ([3.0], float("nan"), "noise_variance"),
+        ([3.0], float("inf"), "noise_variance"),
+        ([float("nan")], 1.0, "signal_strengths"),
+        ([float("inf"), 3.0], 1.0, "signal_strengths")])
+    def test_population_model_rejects_non_finite_values(self, strengths, noise_variance,
+                                                         field):
+        with pytest.raises(InvalidInputError, match=field):
+            ec.PopulationModel(np.array(strengths), noise_variance, 10)
 
 
 class TestSpectrumContract:

@@ -104,6 +104,10 @@ class TestQuantile:
         with pytest.raises(InvalidInputError):
             ec.tw_quantile(bad, 1)
 
+    @pytest.mark.parametrize("beta", (1, 2))
+    def test_returns_a_python_float(self, beta):
+        assert type(ec.tw_quantile(0.005, beta)) is float
+
 
 class TestEdgeConstants:
     def test_centering_example(self):

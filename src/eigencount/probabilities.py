@@ -48,9 +48,7 @@ def _quotient(a: float, b: float) -> float:
     eigenvalues at large n.  The score it divides then saturates, or turns
     NaN, which ProbPair rejects, as float64 arithmetic would have it.
     """
-    if b:
-        return a / b
-    return math.copysign(math.inf, a) if a and a == a else math.nan
+    return a / b if b else a * math.inf
 
 
 def _tw_edge(fit: NoiseFit) -> tuple[float, float, float]:

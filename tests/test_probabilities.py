@@ -215,7 +215,7 @@ class TestUnderflowedDeviation:
         row = ec.estimate_signal_search(spectrum).trace.rows[-1]
         assert (row.k, row.delta_k, row.delta_valid) == (3, 0.0, True)
         # The NaN score of the last step is rejected as ProbPair rejects it.
-        with pytest.raises(InvalidInputError, match="probabilities"):
+        with pytest.raises(InvalidInputError):
             ec.estimate_sns(spectrum)
 
 

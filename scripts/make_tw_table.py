@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the embedded Tracy-Widom CDF table.
+"""Regenerate the Tracy-Widom CDF table shipped with the package.
 
 Integrates the Hastings-McLeod solution of Painleve II,
 
@@ -21,8 +21,13 @@ Downward integration is the numerically stable direction: the unwanted
 Bi-type component decays as s decreases.
 
 Usage:
-    python scripts/make_tw_table.py            # rewrites src/eigencount/_tw_data.py
+    python scripts/make_tw_table.py            # rewrites _tw_data.py and _tw_cdf.bin
     python scripts/make_tw_table.py --csv      # prints x,F1,F2 as CSV to stdout
+
+The table goes to two files in src/eigencount (or --out-dir): _tw_data.py
+holds the grid constants, and _tw_cdf.bin the two CDF columns, beta = 1
+then beta = 2, as little-endian float64, which tracy_widom reads with
+np.frombuffer.
 
 The script also prints reference values (means, variances, selected
 quantiles) used as frozen constants in the test suite, and checks the
@@ -121,10 +126,10 @@ def quantile(sol, beta, prob):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--csv", action="store_true", help="print CSV instead of writing _tw_data.py")
+    parser.add_argument("--csv", action="store_true", help="print CSV instead of writing the table")
     parser.add_argument(
-        "--out",
-        default=str(Path(__file__).resolve().parent.parent / "src" / "eigencount" / "_tw_data.py"),
+        "--out-dir",
+        default=str(Path(__file__).resolve().parent.parent / "src" / "eigencount"),
     )
     args = parser.parse_args(argv)
 
@@ -157,11 +162,13 @@ def main(argv=None):
         print(f"F1({x}) = {a[0]:.10f}   F2({x}) = {b[0]:.10f}")
 
     lines = [
-        '"""Tracy-Widom CDF table for beta in {1, 2}.',
+        '"""Grid of the Tracy-Widom CDF table for beta in {1, 2}.',
         "",
         "Generated by scripts/make_tw_table.py (Painleve II / Hastings-McLeod",
         "integration); do not edit by hand.  The CDF columns are tabulated on the",
-        "grid np.round(np.arange(X_MIN, X_MAX + STEP / 2, STEP), 6).",
+        "grid np.round(np.arange(X_MIN, X_MAX + STEP / 2, STEP), 6), and stored in",
+        "_tw_cdf.bin beside this module: the beta = 1 column, then the beta = 2",
+        "column, as little-endian float64.",
         '"""',
         "",
         f"X_MIN = {X_MIN!r}",
@@ -169,17 +176,10 @@ def main(argv=None):
         f"STEP = {STEP!r}",
         "",
     ]
-
-    def fmt(arr, name):
-        body = ",\n    ".join(
-            ", ".join(f"{v:.17e}" for v in arr[i : i + 4]) for i in range(0, len(arr), 4)
-        )
-        return f"{name} = (\n    {body},\n)\n"
-
-    lines.append(fmt(f1, "CDF_BETA1"))
-    lines.append(fmt(f2, "CDF_BETA2"))
-    Path(args.out).write_text("\n".join(lines))
-    print(f"\nwrote {args.out} ({len(grid)} grid points)")
+    out_dir = Path(args.out_dir)
+    (out_dir / "_tw_data.py").write_text("\n".join(lines))
+    (out_dir / "_tw_cdf.bin").write_bytes(np.array([f1, f2], dtype="<f8").tobytes())
+    print(f"\nwrote _tw_data.py and _tw_cdf.bin to {out_dir} ({len(grid)} grid points)")
     return 0
 
 

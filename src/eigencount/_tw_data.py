@@ -1,418 +1,12 @@
-"""Tracy-Widom CDF table for beta in {1, 2}.
+"""Grid of the Tracy-Widom CDF table for beta in {1, 2}.
 
 Generated by scripts/make_tw_table.py (Painleve II / Hastings-McLeod
 integration); do not edit by hand.  The CDF columns are tabulated on the
-grid np.round(np.arange(X_MIN, X_MAX + STEP / 2, STEP), 6).
+grid np.round(np.arange(X_MIN, X_MAX + STEP / 2, STEP), 6), and stored in
+_tw_cdf.bin beside this module: the beta = 1 column, then the beta = 2
+column, as little-endian float64.
 """
 
 X_MIN = -10.0
 X_MAX = 10.0
 STEP = 0.025
-
-CDF_BETA1 = (
-    4.40594362977470894e-22, 6.00687815402280253e-22, 8.19579973855581051e-22, 1.11895041704749440e-21,
-    1.52844920382575185e-21, 2.08860143840987872e-21, 2.85475586791733596e-21, 3.90244622671784235e-21,
-    5.33466158683406111e-21, 7.29169262311057684e-21, 9.96444865711234895e-21, 1.36124443572400176e-20,
-    1.85880597647118114e-20, 2.53692154168969456e-20, 3.46033184877711111e-20, 4.71662821066956692e-20,
-    6.42416717276509393e-20, 8.74266855003948415e-20, 1.18873855161144150e-19, 1.61480222975598291e-19,
-    2.19139520616432488e-19, 2.97077822565984453e-19, 4.02299626068173430e-19, 5.44179782783859970e-19,
-    7.35247769395844447e-19, 9.92225202820033667e-19, 1.33739626793774712e-18, 1.80041510052885814e-18,
-    2.42068578247022762e-18, 3.25049154344494171e-18, 4.35910268603678350e-18, 5.83816105657047203e-18,
-    7.80872690001434373e-18, 1.04304871667967023e-17, 1.39137697685397793e-17, 1.85351947619102979e-17,
-    2.46580321761964580e-17, 3.27586413379438956e-17, 4.34607559230641052e-17, 5.75798750366863227e-17,
-    7.61806515991518640e-17, 1.00650970599371466e-16, 1.32797425693682153e-16, 1.74968188603566602e-16,
-    2.30210890976808727e-16, 3.02475189023793174e-16, 3.96872264552771446e-16, 5.20006765169178650e-16,
-    6.80400766468832216e-16, 8.89034454379934777e-16, 1.16003462887428089e-15, 1.51155013252307581e-15,
-    1.96686329234905893e-15, 2.55579890265400541e-15, 3.31650774868738312e-15, 4.29772088527384260e-15,
-    5.56159470821078187e-15, 7.18729634861814735e-15, 9.27551537282160453e-15, 1.19541327544375741e-14,
-    1.53853335108059985e-14, 1.97745175791908036e-14, 2.53814472544404961e-14, 3.25341722103823067e-14,
-    4.16463988750834680e-14, 5.32391246570190890e-14, 6.79675451572682755e-14, 8.66544711757520108e-14,
-    1.10331770567514984e-13, 1.40291688048917454e-13, 1.78150306105619298e-13, 2.25925906781138949e-13,
-    2.86135594671698328e-13, 3.61914266540921793e-13, 4.57160887067780207e-13, 5.76718082345509030e-13,
-    7.26592327150766998e-13, 9.14223519189499202e-13, 1.14881455122863749e-12, 1.44173366640157492e-12,
-    1.80700497900925933e-12, 2.26190564020632525e-12, 2.82769181563494533e-12, 3.53048002623677692e-12,
-    4.40231560763409557e-12, 5.48246621151043672e-12, 6.81898557158904853e-12, 8.47060138127526502e-12,
-    1.05089913047507119e-11, 1.30215231284576233e-11, 1.61145491559770138e-11, 1.99173615025006279e-11,
-    2.45869343539552176e-11, 3.03136019778292929e-11, 3.73278478327168288e-11, 4.59084111218072760e-11,
-    5.63919532582051277e-11, 6.91845687390281435e-11, 8.47754737515016719e-11, 1.03753262469108006e-10,
-    1.26825186587169443e-10, 1.54839989493471104e-10, 1.88814914039008828e-10, 2.29967603821793807e-10,
-    2.79753734086392333e-10, 3.39911341867856790e-10, 4.12512978217863869e-10, 5.00026980873372309e-10,
-    6.05389366497043239e-10, 7.32088070910794497e-10, 8.84261527196373260e-10, 1.06681386919939529e-09,
-    1.28554938632136046e-09, 1.54732923948045489e-09, 1.86025388322682907e-09, 2.23387513124516011e-09,
-    2.67944235847273815e-09, 3.21018796007428709e-09, 3.84165789346915171e-09, 4.59209392318177638e-09,
-    5.48287507890600690e-09, 6.53902683510043666e-09, 7.78980763676186898e-09, 9.26938364278595359e-09,
-    1.10176039484513675e-08, 1.30808900960112982e-08, 1.55132554020531649e-08, 1.83774715382237343e-08,
-    2.17464019151133333e-08, 2.57045237557258274e-08, 3.03496633242155907e-08, 3.57949716177842986e-08,
-    4.21711709561930168e-08, 4.96291063366874583e-08, 5.83426391857471875e-08, 6.85119252574117419e-08,
-    8.03671229263016522e-08, 9.41725830280758087e-08, 1.10231576737774989e-07, 1.28891623774777804e-07,
-    1.50550489509861512e-07, 1.75662926353241511e-07, 2.04748242150738704e-07, 2.38398786236395839e-07,
-    2.77289452311615521e-07, 3.22188306470174593e-07, 3.73968458491016924e-07, 4.33621305001387821e-07,
-    5.02271284293961470e-07, 5.81192294484076194e-07, 6.71825939334918456e-07, 7.75801779473957226e-07,
-    8.94959780885000257e-07, 1.03137516749349178e-06, 1.18738590037034371e-06, 1.36562302255958615e-06,
-    1.56904412577700726e-06, 1.80097021321706621e-06, 2.06512625141920632e-06, 2.36568572355280679e-06,
-    2.70731951654350840e-06, 3.09524949513190601e-06, 3.53530713717382281e-06, 4.03399762618807298e-06,
-    4.59856981925253546e-06, 5.23709253075460897e-06, 5.95853759510730711e-06, 6.77287019423837717e-06,
-    7.69114695830835072e-06, 8.72562237057741260e-06, 9.88986402946180133e-06, 1.11988773424184908e-05,
-    1.26692402472012209e-05, 1.43192485760234510e-05, 1.61690726970471029e-05, 1.82409260851464230e-05,
-    2.05592464898425860e-05, 2.31508903824147672e-05, 2.60453413761785584e-05, 2.92749333235389422e-05,
-    3.28750888003520199e-05, 3.68845736920940282e-05, 4.13457685970071906e-05, 4.63049577584916382e-05,
-    5.18126362321927959e-05, 5.79238359821993123e-05, 6.46984715851849611e-05, 7.22017062008909193e-05,
-    8.05043384417710280e-05, 8.96832107435011023e-05, 9.98216398012885195e-05, 1.11009869593971992e-04,
-    1.23345547468812030e-04, 1.36934223704054887e-04, 1.51889874903934533e-04, 1.68335451511293584e-04,
-    1.86403449646433853e-04, 2.06236507396974068e-04, 2.27988025592295928e-04, 2.51822812997625021e-04,
-    2.77917755756725351e-04, 3.06462510798865358e-04, 3.37660222804953296e-04, 3.71728264200102594e-04,
-    4.08898997504790831e-04, 4.49420559235595078e-04, 4.93557664398212382e-04, 5.41592430461950726e-04,
-    5.93825219544797571e-04, 6.50575497373940669e-04, 7.12182707416967350e-04, 7.79007158406284906e-04,
-    8.51430923302220837e-04, 9.29858747562009244e-04, 1.01471896440045680e-03, 1.10646441454762944e-03,
-    1.20557336782622861e-03, 1.31255044369224462e-03, 1.42792752770305688e-03, 1.55226468070335526e-03,
-    1.68615103734694226e-03, 1.83020569040838878e-03, 1.98507855717832077e-03, 2.15145122408683716e-03,
-    2.33003776555504348e-03, 2.52158553294512273e-03, 2.72687590935661618e-03, 2.94672502591126215e-03,
-    3.18198443507180986e-03, 3.43354173646338336e-03, 3.70232115060135491e-03, 3.98928403588566863e-03,
-    4.29542934419217294e-03, 4.62179401038440539e-03, 4.96945327108056726e-03, 5.33952090804398934e-03,
-    5.73314941161961328e-03, 6.15153005971493926e-03, 6.59589290792635813e-03, 7.06750668653161399e-03,
-    7.56767860022128716e-03, 8.09775402660617948e-03, 8.65911610974044385e-03, 9.25318524511087835e-03,
-    9.88141845279563898e-03, 1.05453086357500565e-02, 1.12463837204778237e-02, 1.19862056776467198e-02,
-    1.27663694205536228e-02, 1.35885015796829347e-02, 1.44542591519896766e-02, 1.53653280239189564e-02,
-    1.63234213675951881e-02, 1.73302779100257508e-02, 1.83876600756149172e-02, 1.94973520027259886e-02,
-    2.06611574355023767e-02, 2.18808974926179775e-02, 2.31584083151147729e-02, 2.44955385959608231e-02,
-    2.58941469944567008e-02, 2.73560994390922782e-02, 2.88832663229499180e-02, 3.04775195962217783e-02,
-    3.21407297608923698e-02, 3.38747627730887277e-02, 3.56814768590662246e-02, 3.75627192512282757e-02,
-    3.95203228510129512e-02, 4.15561028258728329e-02, 4.36718531479727626e-02, 4.58693430825868539e-02,
-    4.81503136345191735e-02, 5.05164739611853111e-02, 5.29694977612752624e-02, 5.55110196481842025e-02,
-    5.81426315176062289e-02, 6.08658789188958951e-02, 6.36822574399468488e-02, 6.65932091154751715e-02,
-    6.96001188686658778e-02, 7.27043109962058759e-02, 7.59070457067348575e-02, 7.92095157227279273e-02,
-    8.26128429557459326e-02, 8.61180752649148701e-02, 8.97261833083299598e-02, 9.34380574969448652e-02,
-    9.72545050602378475e-02, 1.01176247232767469e-01, 1.05203916570369121e-01, 1.09338054404527263e-01,
-    1.13579108442987117e-01, 1.17927430524401106e-01, 1.22383274534297454e-01, 1.26946794489307818e-01,
-    1.31618042796050494e-01, 1.36396968690591980e-01, 1.41283416863945355e-01, 1.46277126278416048e-01,
-    1.51377729179225429e-01, 1.56584750305063969e-01, 1.61897606300821117e-01, 1.67315605335039613e-01,
-    1.72837946924067148e-01, 1.78463721964325445e-01, 1.84191912973356187e-01, 1.90021394539881289e-01,
-    1.95950933982316444e-01, 2.01979192214716469e-01, 2.08104724818459458e-01, 2.14325983317317337e-01,
-    2.20641316653145930e-01, 2.27048972858652748e-01, 2.33547100923317791e-01, 2.40133752847931259e-01,
-    2.46806885882605798e-01, 2.53564364942813536e-01, 2.60403965197345377e-01, 2.67323374821695381e-01,
-    2.74320197910062513e-01, 2.81391957538502047e-01, 2.88536098971639732e-01, 2.95749993004929157e-01,
-    3.03030939434002666e-01, 3.10376170642645222e-01, 3.17782855300423883e-01, 3.25248102160861641e-01,
-    3.32768963950956509e-01, 3.40342441342571911e-01, 3.47965486996125561e-01, 3.55635009667010948e-01,
-    3.63347878364992161e-01, 3.71100926556855781e-01, 3.78890956402656298e-01, 3.86714743015831974e-01,
-    3.94569038737595357e-01, 4.02450577416123945e-01, 4.10356078681115621e-01, 4.18282252204489446e-01,
-    4.26225801938197313e-01, 4.34183430320290553e-01, 4.42151842440587584e-01, 4.50127750157551132e-01,
-    4.58107876158344640e-01, 4.66088957954194638e-01, 4.74067751803501525e-01, 4.82041036555575619e-01,
-    4.90005617408174610e-01, 4.97958329572160185e-01, 5.05896041837294419e-01, 5.13815660033513311e-01,
-    5.21714130381951580e-01, 5.29588442730940856e-01, 5.37435633672549984e-01, 5.45252789534902638e-01,
-    5.53037049246948076e-01, 5.60785607072451175e-01, 5.68495715209457964e-01, 5.76164686253123115e-01,
-    5.83789895520095747e-01, 5.91368783231350337e-01, 5.98898856553286119e-01, 6.06377691496084781e-01,
-    6.13802934667378897e-01, 6.21172304881857040e-01, 6.28483594627506470e-01, 6.35734671386698036e-01,
-    6.42923478814897642e-01, 6.50048037778147125e-01, 6.57106447248580916e-01, 6.64096885061137288e-01,
-    6.71017608534282828e-01, 6.77866954954100653e-01, 6.84643341926534976e-01, 6.91345267601202962e-01,
-    6.97971310766541286e-01, 7.04520130821462920e-01, 7.10990467627944711e-01, 7.17381141244842313e-01,
-    7.23691051548757569e-01, 7.29919177747292647e-01, 7.36064577784593554e-01, 7.42126387645638874e-01,
-    7.48103820564661071e-01, 7.53996166138687807e-01, 7.59802789352396757e-01, 7.65523129520657597e-01,
-    7.71156699148838332e-01, 7.76703082717800197e-01, 7.82161935399233177e-01, 7.87532981702820378e-01,
-    7.92816014061348717e-01, 7.98010891360022900e-01, 8.03117537410602655e-01, 8.08135939376964929e-01,
-    8.13066146157314429e-01, 8.17908266724921229e-01, 8.22662468433184135e-01, 8.27328975290007707e-01,
-    8.31908066203125296e-01, 8.36400073201995053e-01, 8.40805379640484074e-01, 8.45124418382652509e-01,
-    8.49357669976651408e-01, 8.53505660820100265e-01, 8.57568961319575496e-01, 8.61548184048415822e-01,
-    8.65443981905835158e-01, 8.69257046280269785e-01, 8.72988105220121269e-01, 8.76637921614653037e-01,
-    8.80207291387748225e-01, 8.83697041707135922e-01, 8.87108029211402638e-01, 8.90441138257647147e-01,
-    8.93697279190890370e-01, 8.96877386638372798e-01, 8.99982417830249015e-01, 9.03013350947987514e-01,
-    9.05971183503291533e-01, 9.08856930747905745e-01, 9.11671624115961698e-01, 9.14416309700995744e-01,
-    9.17092046767862601e-01, 9.19699906300484926e-01, 9.22240969588108750e-01, 9.24716326847959236e-01,
-    9.27127075887526186e-01, 9.29474320806403798e-01, 9.31759170737183839e-01, 9.33982738627420983e-01,
-    9.36146140062116383e-01, 9.38250492126028068e-01, 9.40296912308092314e-01, 9.42286517446587868e-01,
-    9.44220422714325380e-01, 9.46099740646544896e-01, 9.47925580208004326e-01, 9.49699045900504801e-01,
-    9.51421236911594304e-01, 9.53093246302621266e-01, 9.54716160235080658e-01, 9.56291057238181863e-01,
-    9.57819007512831777e-01, 9.59301072273359146e-01, 9.60738303127587345e-01, 9.62131741493036596e-01,
-    9.63482418048032141e-01, 9.64791352219115939e-01, 9.66059551702757369e-01, 9.67288012019154486e-01,
-    9.68477716100092256e-01, 9.69629633908782318e-01, 9.70744722090145173e-01, 9.71823923651299437e-01,
-    9.72868167672341078e-01, 9.73878369044332004e-01, 9.74855428235432586e-01, 9.75800231083938097e-01,
-    9.76713648616709951e-01, 9.77596536892496593e-01, 9.78449736869550057e-01, 9.79274074295816144e-01,
-    9.80070359621593168e-01, 9.80839387933453821e-01, 9.81581938908399509e-01, 9.82298776787698391e-01,
-    9.82990650369225172e-01, 9.83658293017616980e-01, 9.84302422691431200e-01, 9.84923741986325818e-01,
-    9.85522938193609366e-01, 9.86100683373211662e-01, 9.86657634440384679e-01, 9.87194433265346283e-01,
-    9.87711706785073362e-01, 9.88210067126571556e-01, 9.88690111740826216e-01, 9.89152423546813986e-01,
-    9.89597571084837591e-01, 9.90026108678558447e-01, 9.90438576605055854e-01, 9.90835501272314012e-01,
-    9.91217395403522827e-01, 9.91584758227615048e-01, 9.91938075675470876e-01, 9.92277820581251468e-01,
-    9.92604452888338207e-01, 9.92918419859373236e-01, 9.93220156289917111e-01, 9.93510084725257259e-01,
-    9.93788615679926823e-01, 9.94056147859503803e-01, 9.94313068384282239e-01, 9.94559753014428671e-01,
-    9.94796566376252134e-01, 9.95023862189234887e-01, 9.95241983493485360e-01, 9.95451262877298904e-01,
-    9.95652022704522355e-01, 9.95844575341437221e-01, 9.96029223382891682e-01, 9.96206259877428613e-01,
-    9.96375968551170943e-01, 9.96538624030238851e-01, 9.96694492061491522e-01, 9.96843829731395292e-01,
-    9.96986885682838886e-01, 9.97123900329723201e-01, 9.97255106069171893e-01, 9.97380727491216867e-01,
-    9.97500981585825230e-01, 9.97616077947148350e-01, 9.97726218974880341e-01, 9.97831600072626612e-01,
-    9.97932409843192092e-01, 9.98028830280709101e-01, 9.98121036959532693e-01, 9.98209199219840193e-01,
-    9.98293480349882301e-01, 9.98374037764839350e-01, 9.98451023182240882e-01, 9.98524582793921756e-01,
-    9.98594857434486838e-01, 9.98661982746267163e-01, 9.98726089340755685e-01, 9.98787302956516965e-01,
-    9.98845744613569342e-01, 9.98901530764243817e-01, 9.98954773440531074e-01, 9.99005580397928084e-01,
-    9.99054055255804152e-01, 9.99100297634308188e-01, 9.99144403287843041e-01, 9.99186464235135907e-01,
-    9.99226568885938971e-01, 9.99264802164393173e-01, 9.99301245629096058e-01, 9.99335977589912550e-01,
-    9.99369073221573090e-01, 9.99400604674102300e-01, 9.99430641180128032e-01, 9.99459249159115992e-01,
-    9.99486492318583442e-01, 9.99512431752340946e-01, 9.99537126035816126e-01, 9.99560631318512693e-01,
-    9.99583001413659522e-01, 9.99604287885104359e-01, 9.99624540131508921e-01, 9.99643805467901214e-01,
-    9.99662129204641037e-01, 9.99679554723857278e-01, 9.99696123553412419e-01, 9.99711875438451636e-01,
-    9.99726848410593782e-01, 9.99741078854821330e-01, 9.99754601574124879e-01, 9.99767449851959311e-01,
-    9.99779655512567200e-01, 9.99791248979225000e-01, 9.99802259330466736e-01, 9.99812714354340271e-01,
-    9.99822640600748436e-01, 9.99832063431929985e-01, 9.99841007071131771e-01, 9.99849494649523551e-01,
-    9.99857548251406825e-01, 9.99865188957767992e-01, 9.99872436888225025e-01, 9.99879311241414603e-01,
-    9.99885830333870684e-01, 9.99892011637436351e-01, 9.99897871815259687e-01, 9.99903426756414526e-01,
-    9.99908691609192268e-01, 9.99913680813106276e-01, 9.99918408129652714e-01, 9.99922886671865796e-01,
-    9.99927128932711073e-01, 9.99931146812353400e-01, 9.99934951644338099e-01, 9.99938554220723641e-01,
-    9.99941964816201123e-01, 9.99945193211235761e-01, 9.99948248714265797e-01, 9.99951140182990916e-01,
-    9.99953876044784140e-01, 9.99956464316257398e-01, 9.99958912622012641e-01, 9.99961228212607911e-01,
-    9.99963417981767466e-01, 9.99965488482863374e-01, 9.99967445944697220e-01, 9.99969296286607356e-01,
-    9.99971045132927228e-01, 9.99972697826820633e-01, 9.99974259443516256e-01, 9.99975734802967309e-01,
-    9.99977128481955635e-01, 9.99978444825664781e-01, 9.99979687958741037e-01, 9.99980861795865539e-01,
-    9.99981970051852631e-01, 9.99983016251298928e-01, 9.99984003737796612e-01, 9.99984935682731724e-01,
-    9.99985815093683117e-01, 9.99986644822439597e-01, 9.99987427572649135e-01, 9.99988165907118365e-01,
-    9.99988862254774014e-01, 9.99989518917303366e-01, 9.99990138075485313e-01, 9.99990721795225967e-01,
-    9.99991272033311285e-01, 9.99991790642890011e-01, 9.99992279378696391e-01, 9.99992739902026306e-01,
-    9.99993173785476031e-01, 9.99993582517455071e-01, 9.99993967506482173e-01, 9.99994330085275052e-01,
-    9.99994671514642053e-01, 9.99994992987185638e-01, 9.99995295630825454e-01, 9.99995580512149540e-01,
-    9.99995848639600782e-01, 9.99996100966507595e-01, 9.99996338393964179e-01, 9.99996561773568660e-01,
-    9.99996771910024895e-01, 9.99996969563614946e-01, 9.99997155452547415e-01, 9.99997330255188110e-01,
-    9.99997494612178572e-01, 9.99997649128447019e-01, 9.99997794375117932e-01, 9.99997930891324383e-01,
-    9.99998059185927324e-01, 9.99998179739147952e-01, 9.99998293004115135e-01, 9.99998399408334127e-01,
-    9.99998499355078341e-01, 9.99998593224710186e-01, 9.99998681375931953e-01, 9.99998764146972974e-01,
-    9.99998841856712728e-01, 9.99998914805747208e-01, 9.99998983277397557e-01, 9.99999047538665864e-01,
-    9.99999107841140877e-01, 9.99999164421855213e-01, 9.99999217504096594e-01, 9.99999267298176786e-01,
-    9.99999314002158135e-01, 9.99999357802542121e-01, 9.99999398874920065e-01, 9.99999437384589185e-01,
-    9.99999473487135138e-01, 9.99999507328982795e-01, 9.99999539047917274e-01, 9.99999568773576208e-01,
-    9.99999596627915377e-01, 9.99999622725648574e-01, 9.99999647174663386e-01, 9.99999670076413771e-01,
-    9.99999691526291423e-01, 9.99999711613975828e-01, 9.99999730423765332e-01, 9.99999748034889779e-01,
-    9.99999764521805390e-01, 9.99999779954473311e-01, 9.99999794398622077e-01, 9.99999807915996186e-01,
-    9.99999820564589803e-01, 9.99999832398867472e-01, 9.99999843469972061e-01, 9.99999853825921825e-01,
-    9.99999863511794818e-01, 9.99999872569904191e-01, 9.99999881039961847e-01, 9.99999888959234196e-01,
-    9.99999896362688379e-01, 9.99999903283129488e-01, 9.99999909751330462e-01, 9.99999915796154659e-01,
-    9.99999921444670758e-01, 9.99999926722260679e-01, 9.99999931652722607e-01, 9.99999936258366029e-01,
-    9.99999940560103107e-01, 9.99999944577533162e-01, 9.99999948329022947e-01, 9.99999951831782141e-01,
-    9.99999955101934290e-01, 9.99999958154583091e-01, 9.99999961003875670e-01, 9.99999963663060987e-01,
-    9.99999966144545782e-01, 9.99999968459946542e-01, 9.99999970620138456e-01, 9.99999972635301382e-01,
-    9.99999974514963363e-01, 9.99999976268041046e-01, 9.99999977902878201e-01, 9.99999979427281138e-01,
-    9.99999980848553016e-01, 9.99999982173524704e-01, 9.99999983408585424e-01, 9.99999984559709731e-01,
-    9.99999985632484378e-01, 9.99999986632132520e-01, 9.99999987563537140e-01, 9.99999988431262143e-01,
-    9.99999989239573117e-01, 9.99999989992456095e-01, 9.99999990693635765e-01, 9.99999991346591899e-01,
-    9.99999991954575118e-01, 9.99999992520621550e-01, 9.99999993047567037e-01, 9.99999993538059573e-01,
-    9.99999993994571734e-01, 9.99999994419411675e-01, 9.99999994814734561e-01, 9.99999995182551449e-01,
-    9.99999995524739616e-01, 9.99999995843050771e-01, 9.99999996139119163e-01, 9.99999996414469905e-01,
-    9.99999996670525415e-01, 9.99999996908612299e-01, 9.99999997129968232e-01, 9.99999997335746849e-01,
-    9.99999997527024176e-01, 9.99999997704803412e-01, 9.99999997870019586e-01, 9.99999998023544223e-01,
-    9.99999998166189674e-01, 9.99999998298712889e-01, 9.99999998421819303e-01, 9.99999998536166057e-01,
-    9.99999998642365218e-01, 9.99999998740987106e-01, 9.99999998832562631e-01, 9.99999998917586619e-01,
-    9.99999998996519368e-01, 9.99999999069789647e-01, 9.99999999137796691e-01, 9.99999999200911982e-01,
-    9.99999999259481243e-01, 9.99999999313826438e-01, 9.99999999364246772e-01, 9.99999999411021134e-01,
-    9.99999999454408539e-01, 9.99999999494650127e-01, 9.99999999531970163e-01, 9.99999999566577147e-01,
-    9.99999999598665146e-01, 9.99999999628414349e-01, 9.99999999655992400e-01, 9.99999999681555174e-01,
-    9.99999999705247555e-01, 9.99999999727204103e-01, 9.99999999747549939e-01, 9.99999999766401304e-01,
-    9.99999999783866000e-01, 9.99999999800044281e-01, 9.99999999815029184e-01, 9.99999999828907082e-01,
-    9.99999999841758025e-01, 9.99999999853656174e-01, 9.99999999864670142e-01, 9.99999999874863765e-01,
-    9.99999999884295887e-01, 9.99999999893021019e-01, 9.99999999901089343e-01, 9.99999999908547377e-01,
-    9.99999999915438309e-01, 9.99999999921801552e-01, 9.99999999927673966e-01, 9.99999999933089634e-01,
-    9.99999999938080086e-01, 9.99999999942674744e-01, 9.99999999946901252e-01, 9.99999999950785812e-01,
-    9.99999999954353180e-01, 9.99999999957627672e-01, 9.99999999960632824e-01, 9.99999999963392283e-01,
-    9.99999999965929920e-01, 9.99999999968270603e-01, 9.99999999970440312e-01, 9.99999999972467135e-01,
-    9.99999999974381493e-01, 9.99999999976216913e-01, 9.99999999978010590e-01, 9.99999999979804377e-01,
-    9.99999999981645016e-01,
-)
-
-CDF_BETA2 = (
-    5.88208347108573856e-37, 1.06513355429482001e-36, 1.92731836872195995e-36, 3.48437500347215949e-36,
-    6.29307992971505269e-36, 1.13530758600939881e-35, 2.04560382478384978e-35, 3.68073271871633492e-35,
-    6.61303227449661604e-35, 1.18623729957161476e-34, 2.12422468718888936e-34, 3.79702307847251464e-34,
-    6.77420938335612815e-34, 1.20616870165399463e-33, 2.14316598529245925e-33, 3.79987127471532316e-33,
-    6.72228595686147559e-33, 1.18651270791112448e-32, 2.08934371140940519e-32, 3.67034254282246291e-32,
-    6.43193816476906874e-32, 1.12433855212660038e-31, 1.96044961079346895e-31, 3.40959476695465363e-31,
-    5.91459714988607104e-31, 1.02331949959682453e-30, 1.76583762857363652e-30, 3.03902848585678905e-30,
-    5.21621505567469465e-30, 8.92906984504895518e-30, 1.52433788861187004e-29, 2.59522925275182373e-29,
-    4.40641749027595725e-29, 7.46118298278990424e-29, 1.25990917213095535e-28, 2.12167199527609489e-28,
-    3.56306062922072393e-28, 5.96723487979749111e-28, 9.96615035698136001e-28, 1.65991536944811841e-27,
-    2.75707671754435223e-27, 4.56684903754170037e-27, 7.54379986016051504e-27, 1.24271178073642802e-26,
-    2.04154389241172194e-26, 3.34469546217594718e-26, 5.46469199195596972e-26, 8.90405657691363678e-26,
-    1.44685585951199750e-25, 2.34466022889192089e-25, 3.78925769976255118e-25, 6.10731523316957249e-25,
-    9.81682383727090662e-25, 1.57368827647003716e-24, 2.51591601321295561e-24, 4.01149289398632002e-24,
-    6.37897909505936253e-24, 1.01165972128208680e-23, 1.60014296242784823e-23, 2.52421954160344187e-23,
-    3.97138950742757810e-23, 6.23171971074725637e-23, 9.75273646065061000e-23, 1.52230379246517089e-22,
-    2.36993030419804906e-22, 3.67986927058352136e-22, 5.69895157854677233e-22, 8.80291511276207337e-22,
-    1.35622035908670966e-21, 2.08405630792075525e-21, 3.19423851026007430e-21, 4.88323034297415922e-21,
-    7.44615962072033483e-21, 1.13252039414379786e-20, 1.71811245248509731e-20, 2.59987410873708475e-20,
-    3.92420380896802323e-20, 5.90816510760028540e-20, 8.87276258837624422e-20, 1.32914882103940623e-19,
-    1.98609591915284489e-19, 2.96034304172414130e-19, 4.40151745847142719e-19, 6.52806916807475287e-19,
-    9.65811471184732740e-19, 1.42537334173373374e-18, 2.09844183451379184e-18, 3.08177298002387071e-18,
-    4.51484795319149577e-18, 6.59823487699290434e-18, 9.61962069233627957e-18, 1.39906225628549508e-17,
-    2.02987096251641460e-17, 2.93802511119645767e-17, 4.24230259422907876e-17, 6.11097116911318921e-17,
-    8.78182275092548681e-17, 1.25900753146584587e-16, 1.80071344177022206e-16, 2.56943060122633438e-16,
-    3.65770415562035439e-16, 5.19473082168658674e-16, 7.36043873128458581e-16, 1.04048046023935422e-15,
-    1.46742908144646643e-15, 2.06479373551654759e-15, 2.89865133475313863e-15, 4.05992893475267700e-15,
-    5.67345253453032825e-15, 7.91017981832171293e-15, 1.10036968722713048e-14, 1.52724111256098981e-14,
-    2.11493350460037963e-14, 2.92219602857390337e-14, 4.02855121459945301e-14, 5.54139032939457466e-14,
-    7.60540424022481332e-14, 1.04150885295969140e-13, 1.42312854341820529e-13, 1.94030136736767972e-13,
-    2.63962081401370627e-13, 3.58314670552655750e-13, 4.85335125821300525e-13, 6.55958470526564224e-13,
-    8.84650746887572195e-13, 1.19050612394650646e-12, 1.59867100441637572e-12, 2.14218828263038895e-12,
-    2.86438015300259256e-12, 3.82191958853288979e-12, 5.08878035979910693e-12, 6.76130515280247421e-12,
-    8.96469329475287725e-12, 1.18612866399621337e-11, 1.56611277360868163e-11, 2.06353826362115563e-11,
-    2.71333666527499886e-11, 3.56040909876762575e-11, 4.66234687421326306e-11, 6.09285889414344846e-11,
-    7.94607972015280846e-11, 1.03419723742773221e-10, 1.34330888121537375e-10, 1.74130102423166775e-10,
-    2.25268610909097550e-10, 2.90843767915889488e-10, 3.74761094881741632e-10, 4.81934804068489900e-10,
-    6.18535368471535425e-10, 7.92294498182311806e-10, 1.01288000349267596e-09, 1.29235554236695215e-09,
-    1.64574323121193940e-09, 2.09171061941044923e-09, 2.65340767680650241e-09, 3.35948431804578733e-09,
-    4.24532470024005301e-09, 5.35454120702850152e-09, 6.74077881455633191e-09, 8.46988958194310412e-09,
-    1.06225474975160262e-08, 1.32973860390419113e-08, 1.66147547888944665e-08, 2.07212075229999049e-08,
-    2.57948526280297824e-08, 3.20517177811536302e-08, 3.97533048616931119e-08, 4.92155383903049872e-08,
-    6.08193417697329485e-08, 7.50231106173428623e-08, 9.23773919429178804e-08, 1.13542122266962224e-07,
-    1.39306827447180085e-07, 1.70614242452755124e-07, 2.08587871080948791e-07, 2.54564074140381450e-07,
-    3.10129350426406983e-07, 3.77163558379721389e-07, 4.57889918131750098e-07, 5.54932734163762939e-07,
-    6.71383888473683948e-07, 8.10879273348639319e-07, 9.77686461919787878e-07, 1.17680505390103269e-06,
-    1.41408128347074398e-06, 1.69633863623341235e-06, 2.03152639256556133e-06, 2.42888819523980202e-06,
-    2.89915292971281205e-06, 3.45475040534926506e-06, 4.11005453445249545e-06, 4.88165692235200784e-06,
-    5.78867400482707461e-06, 6.85309109738897518e-06, 8.10014695274253176e-06, 9.55876265609680138e-06,
-    1.12620189206178766e-05, 1.32476860745918002e-05, 1.55588112548521367e-05, 1.82443675344477208e-05,
-    2.13599699127298194e-05, 2.49686632791031659e-05, 2.91417876232735280e-05, 3.39599259004055046e-05,
-    3.95139400641422313e-05, 4.59061008489647016e-05, 5.32513169102430181e-05, 6.16784689102699350e-05,
-    7.13318540654443825e-05, 8.23727465382504786e-05, 9.49810788614575838e-05, 1.09357249315798858e-04,
-    1.25724059839997586e-04, 1.44328788628826838e-04, 1.65445401064895174e-04, 1.89376902029551636e-04,
-    2.16457831942064397e-04, 2.47056908082406905e-04, 2.81579811856879150e-04, 3.20472121667634549e-04,
-    3.64222389943542012e-04, 4.13365361683735273e-04, 4.68485330554981050e-04, 5.30219627175603186e-04,
-    5.99262232711794966e-04, 6.76367509317282235e-04, 7.62354037265833675e-04, 8.58108546872345048e-04,
-    9.64589931475315788e-04, 1.08283332588028744e-03, 1.21395423274688204e-03, 1.35915267746190209e-03,
-    1.51971737008765526e-03, 1.69702985103169592e-03, 1.89256859516616035e-03, 2.10791304725464887e-03,
-    2.34474755974130962e-03, 2.60486520224210635e-03, 2.89017141047996423e-03, 3.20268744093613446e-03,
-    3.54455359618917765e-03, 3.91803218478001258e-03, 4.32551017853125865e-03, 4.76950152954652533e-03,
-    5.25264910868437213e-03, 5.77772622711174647e-03, 6.34763770267026805e-03, 6.96542043319155983e-03,
-    7.63424343965336729e-03, 8.35740734311627050e-03, 9.13834324081254541e-03, 9.98061094850051164e-03,
-    1.08878965783316250e-02, 1.18640094239203363e-02, 1.29128781271436420e-02, 1.40385461043412204e-02,
-    1.52451662131002641e-02, 1.65369946446012640e-02, 1.79183840306358089e-02, 1.93937757587894742e-02,
-    2.09676914939555363e-02, 2.26447239092016396e-02, 2.44295266341094039e-02, 2.63268034339272719e-02,
-    2.83412966382609426e-02, 3.04777748434410210e-02, 3.27410199182213216e-02, 3.51358133479219154e-02,
-    3.76669219575927056e-02, 4.03390830600810144e-02, 4.31569890801176900e-02, 4.61252717105289090e-02,
-    4.92484856614678196e-02, 5.25310920680554447e-02, 5.59774416259873689e-02, 5.95917575285017723e-02,
-    6.33781182814627253e-02, 6.73404404763228853e-02, 7.14824616031807802e-02, 7.58077229881737452e-02,
-    8.03195529408491926e-02, 8.50210501981033956e-02, 8.99150677515868496e-02, 9.50041971452541961e-02,
-    1.00290753328841603e-01, 1.05776760151712515e-01, 1.11463936579404010e-01, 1.17353683712751594e-01,
-    1.23447072686108786e-01, 1.29744833517720676e-01, 1.36247344980792884e-01, 1.42954625559450349e-01,
-    1.49866325548132007e-01, 1.56981720347783099e-01, 1.64299705005825969e-01, 1.71818790040892011e-01,
-    1.79537098586356247e-01, 1.87452364879880568e-01, 1.95561934119274944e-01, 2.03862763697256283e-01,
-    2.12351425821076800e-01, 2.21024111514703386e-01, 2.29876635994613859e-01, 2.38904445402504578e-01,
-    2.48102624871117783e-01, 2.57465907892644452e-01, 2.66988686951630694e-01, 2.76665025378681040e-01,
-    2.86488670374103915e-01, 2.96453067145476867e-01, 3.06551374097272622e-01, 3.16776479005225542e-01,
-    3.27121016104393703e-01, 3.37577384014564108e-01, 3.48137764423971596e-01, 3.58794141448759596e-01,
-    3.69538321582398632e-01, 3.80361954148408343e-01, 3.91256552167095595e-01, 4.02213513546230250e-01,
-    4.13224142506288528e-01, 4.24279671148687976e-01, 4.35371281078063277e-01, 4.46490124990432169e-01,
-    4.57627348138538781e-01, 4.68774109591688470e-01, 4.79921603206350911e-01, 4.91061078227565062e-01,
-    5.02183859445772485e-01, 5.13281366837237574e-01, 5.24345134615832653e-01, 5.35366829636739650e-01,
-    5.46338269089516548e-01, 5.57251437424568952e-01, 5.68098502464263411e-01, 5.78871830654064334e-01,
-    5.89564001411731264e-01, 6.00167820539543984e-01, 6.10676332674134792e-01, 6.21082832744633717e-01,
-    6.31380876421459347e-01, 6.41564289543242849e-01, 6.51627176512816098e-01, 6.61563927655229755e-01,
-    6.71369225543075321e-01, 6.81038050292868125e-01, 6.90565683840720923e-01, 6.99947713213506573e-01,
-    7.09180032814273220e-01, 7.18258845741195584e-01, 7.27180664167682456e-01, 7.35942308813249402e-01,
-    7.44540907533672747e-01, 7.52973893066918643e-01, 7.61238999972644881e-01, 7.69334260800938807e-01,
-    7.77258001533729703e-01, 7.85008836341890559e-01, 7.92585661698166577e-01, 7.99987649892960007e-01,
-    8.07214241999478221e-01, 8.14265140329922810e-01, 8.21140300432647963e-01, 8.27839922676355644e-01,
-    8.34364443463548100e-01, 8.40714526121384420e-01, 8.46891051515878956e-01, 8.52895108428816107e-01,
-    8.58727983744421164e-01, 8.64391152487665515e-01, 8.69886267750691222e-01, 8.75215150549266796e-01,
-    8.80379779647900707e-01, 8.85382281385269199e-01, 8.90224919537287662e-01, 8.94910085251038212e-01,
-    8.99440287075793488e-01, 9.03818141122341490e-01, 9.08046361378268330e-01, 9.12127750200453447e-01,
-    9.16065189009526715e-01, 9.19861629208439502e-01, 9.23520083340083953e-01, 9.27043616502944423e-01,
-    9.30435338040600080e-01, 9.33698393515684510e-01, 9.36835956980776263e-01, 9.39851223557081172e-01,
-    9.42747402325822992e-01, 9.45527709540009198e-01, 9.48195362161765143e-01, 9.50753571726801749e-01,
-    9.53205538538350328e-01, 9.55554446191731244e-01, 9.57803456426990163e-01, 9.59955704308311897e-01,
-    9.62014293727265879e-01, 9.63982293224969089e-01, 9.65862732128275780e-01, 9.67658596994206421e-01,
-    9.69372828355320237e-01, 9.71008317758774386e-01, 9.72567905090923168e-01, 9.74054376178853376e-01,
-    9.75470460659503380e-01, 9.76818830106920943e-01, 9.78102096407891031e-01, 9.79322810375613750e-01,
-    9.80483460590928724e-01, 9.81586472461173698e-01, 9.82634207485151734e-01, 9.83628962714139132e-01,
-    9.84572970398285841e-01, 9.85468397807403917e-01, 9.86317347215741491e-01, 9.87121856040773960e-01,
-    9.87883897124697818e-01, 9.88605379149589125e-01, 9.89288147175944710e-01, 9.89933983294644548e-01,
-    9.90544607383717080e-01, 9.91121677960133174e-01, 9.91666793117943035e-01, 9.92181491544788741e-01,
-    9.92667253608092826e-01, 9.93125502503081625e-01, 9.93557605455948734e-01, 9.93964874973719881e-01,
-    9.94348570135095700e-01, 9.94709897915568519e-01, 9.95050014540281302e-01, 9.95370026859494827e-01,
-    9.95670993740979338e-01, 9.95953927473840817e-01, 9.96219795179872247e-01, 9.96469520227506678e-01,
-    9.96703983644002145e-01, 9.96924025523042934e-01, 9.97130446423164507e-01, 9.97324008754220448e-01,
-    9.97505438149394297e-01, 9.97675424819609358e-01, 9.97834624887687038e-01, 9.97983661701287383e-01,
-    9.98123127121311127e-01, 9.98253582784625060e-01, 9.98375561340118400e-01, 9.98489567656301924e-01,
-    9.98596079999129027e-01, 9.98695551179893837e-01, 9.98788409672085709e-01, 9.98875060696017836e-01,
-    9.98955887271836263e-01, 9.99031251240185880e-01, 9.99101494250086319e-01, 9.99166938714155406e-01,
-    9.99227888731691216e-01, 9.99284630978810484e-01, 9.99337435566645449e-01, 9.99386556867797093e-01,
-    9.99432234311170786e-01, 9.99474693145801396e-01, 9.99514145174370650e-01, 9.99550789456552069e-01,
-    9.99584812983203785e-01, 9.99616391321905939e-01, 9.99645689234440527e-01, 9.99672861267118185e-01,
-    9.99698052314497709e-01, 9.99721398157356833e-01, 9.99743025975706634e-01, 9.99763054837528808e-01,
-    9.99781596164137754e-01, 9.99798754172848470e-01, 9.99814626297811926e-01, 9.99829303589796048e-01,
-    9.99842871095656061e-01, 9.99855408218330299e-01, 9.99866989058051492e-01, 9.99877682735603290e-01,
-    9.99887553698309395e-01, 9.99896662009519988e-01, 9.99905063622274271e-01, 9.99912810637861305e-01,
-    9.99919951549947505e-01, 9.99926531474931823e-01, 9.99932592369170092e-01, 9.99938173233689498e-01,
-    9.99943310307003119e-01, 9.99948037246601640e-01, 9.99952385299688107e-01, 9.99956383463696974e-01,
-    9.99960058637125893e-01, 9.99963435761181518e-01, 9.99966537952720835e-01, 9.99969386628957291e-01,
-    9.99972001624374274e-01, 9.99974401300275706e-01, 9.99976602647376422e-01, 9.99978621381829136e-01,
-    9.99980472035055579e-01, 9.99982168037740204e-01, 9.99983721798321179e-01, 9.99985144776305734e-01,
-    9.99986447550712310e-01, 9.99987639883932689e-01, 9.99988730781290469e-01, 9.99989728546557433e-01,
-    9.99990640833677724e-01, 9.99991474694933324e-01, 9.99992236625776076e-01, 9.99992932606535434e-01,
-    9.99993568141200773e-01, 9.99994148293467111e-01, 9.99994677720221659e-01, 9.99995160702637498e-01,
-    9.99995601175032833e-01, 9.99996002751642465e-01, 9.99996368751444042e-01, 9.99996702221166767e-01,
-    9.99997005956607676e-01, 9.99997282522371633e-01, 9.99997534270141597e-01, 9.99997763355583325e-01,
-    9.99997971753977311e-01, 9.99998161274670117e-01, 9.99998333574425913e-01, 9.99998490169758947e-01,
-    9.99998632448317659e-01, 9.99998761679390502e-01, 9.99998879023596632e-01, 9.99998985541820984e-01,
-    9.99999082203448242e-01, 9.99999169893950102e-01, 9.99999249421870462e-01, 9.99999321525256279e-01,
-    9.99999386877574392e-01, 9.99999446093153832e-01, 9.99999499732188490e-01, 9.99999548305335884e-01,
-    9.99999592277940552e-01, 9.99999632073913403e-01, 9.99999668079291304e-01, 9.99999700645504697e-01,
-    9.99999730092373529e-01, 9.99999756710854393e-01, 9.99999780765558732e-01, 9.99999802497058887e-01,
-    9.99999822124000515e-01, 9.99999839845036709e-01, 9.99999855840597140e-01, 9.99999870274507097e-01,
-    9.99999883295466963e-01, 9.99999895038405917e-01, 9.99999905625717500e-01, 9.99999915168389264e-01,
-    9.99999923767033283e-01, 9.99999931512827289e-01, 9.99999938488373208e-01, 9.99999944768480198e-01,
-    9.99999950420878414e-01, 9.99999955506869931e-01, 9.99999960081920936e-01, 9.99999964196202407e-01,
-    9.99999967895081054e-01, 9.99999971219566630e-01, 9.99999974206719155e-01, 9.99999976890019071e-01,
-    9.99999979299703523e-01, 9.99999981463072229e-01, 9.99999983404765369e-01, 9.99999985147015824e-01,
-    9.99999986709878552e-01, 9.99999988111438087e-01, 9.99999989367997499e-01, 9.99999990494249480e-01,
-    9.99999991503431218e-01, 9.99999992407465177e-01, 9.99999993217086436e-01, 9.99999993941958154e-01,
-    9.99999994590775931e-01, 9.99999995171362399e-01, 9.99999995690752708e-01, 9.99999996155272242e-01,
-    9.99999996570606120e-01, 9.99999996941862923e-01, 9.99999997273631536e-01, 9.99999997570032884e-01,
-    9.99999997834766674e-01, 9.99999998071153584e-01, 9.99999998282172786e-01, 9.99999998470496698e-01,
-    9.99999998638522070e-01, 9.99999998788397071e-01, 9.99999998922047273e-01, 9.99999999041197740e-01,
-    9.99999999147393792e-01, 9.99999999242019100e-01, 9.99999999326312450e-01, 9.99999999401382289e-01,
-    9.99999999468220713e-01, 9.99999999527714567e-01, 9.99999999580657550e-01, 9.99999999627758540e-01,
-    9.99999999669651474e-01, 9.99999999706902676e-01, 9.99999999740017853e-01, 9.99999999769448755e-01,
-    9.99999999795598615e-01, 9.99999999818827257e-01, 9.99999999839455755e-01, 9.99999999857770439e-01,
-    9.99999999874026879e-01, 9.99999999888452562e-01, 9.99999999901250436e-01, 9.99999999912601467e-01,
-    9.99999999922666527e-01, 9.99999999931589167e-01, 9.99999999939497064e-01, 9.99999999946503793e-01,
-    9.99999999952710605e-01, 9.99999999958207431e-01, 9.99999999963074204e-01, 9.99999999967382092e-01,
-    9.99999999971194264e-01, 9.99999999974567122e-01, 9.99999999977550402e-01, 9.99999999980188514e-01,
-    9.99999999982520760e-01, 9.99999999984582111e-01, 9.99999999986403654e-01, 9.99999999988012811e-01,
-    9.99999999989434007e-01, 9.99999999990689004e-01, 9.99999999991796784e-01, 9.99999999992774558e-01,
-    9.99999999993637201e-01, 9.99999999994398259e-01, 9.99999999995069389e-01, 9.99999999995661137e-01,
-    9.99999999996182720e-01, 9.99999999996642464e-01, 9.99999999997047473e-01, 9.99999999997404299e-01,
-    9.99999999997718492e-01, 9.99999999997995159e-01, 9.99999999998238631e-01, 9.99999999998452904e-01,
-    9.99999999998641420e-01, 9.99999999998807287e-01, 9.99999999998953060e-01, 9.99999999999081290e-01,
-    9.99999999999193978e-01, 9.99999999999293010e-01, 9.99999999999380051e-01, 9.99999999999456435e-01,
-    9.99999999999523603e-01, 9.99999999999582445e-01, 9.99999999999634182e-01, 9.99999999999679590e-01,
-    9.99999999999719447e-01, 9.99999999999754308e-01, 9.99999999999784950e-01, 9.99999999999811817e-01,
-    9.99999999999835354e-01, 9.99999999999856004e-01, 9.99999999999873990e-01, 9.99999999999889866e-01,
-    9.99999999999903744e-01, 9.99999999999915845e-01, 9.99999999999926503e-01, 9.99999999999935718e-01,
-    9.99999999999943934e-01, 9.99999999999951039e-01, 9.99999999999957256e-01, 9.99999999999962697e-01,
-    9.99999999999967470e-01, 9.99999999999971578e-01, 9.99999999999975242e-01, 9.99999999999978351e-01,
-    9.99999999999981126e-01, 9.99999999999983569e-01, 9.99999999999985678e-01, 9.99999999999987566e-01,
-    9.99999999999989120e-01, 9.99999999999990563e-01, 9.99999999999991784e-01, 9.99999999999992784e-01,
-    9.99999999999993783e-01, 9.99999999999994560e-01, 9.99999999999995226e-01, 9.99999999999995892e-01,
-    9.99999999999996447e-01, 9.99999999999996891e-01, 9.99999999999997335e-01, 9.99999999999997669e-01,
-    9.99999999999998002e-01, 9.99999999999998224e-01, 9.99999999999998446e-01, 9.99999999999998668e-01,
-    9.99999999999998779e-01, 9.99999999999999001e-01, 9.99999999999999112e-01, 9.99999999999999223e-01,
-    9.99999999999999334e-01, 9.99999999999999445e-01, 9.99999999999999445e-01, 9.99999999999999556e-01,
-    9.99999999999999667e-01, 9.99999999999999667e-01, 9.99999999999999667e-01, 9.99999999999999778e-01,
-    9.99999999999999778e-01, 9.99999999999999778e-01, 9.99999999999999778e-01, 9.99999999999999889e-01,
-    9.99999999999999889e-01, 9.99999999999999889e-01, 9.99999999999999889e-01, 9.99999999999999889e-01,
-    9.99999999999999889e-01, 9.99999999999999889e-01, 9.99999999999999889e-01, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00, 1.00000000000000000e+00,
-    1.00000000000000000e+00,
-)

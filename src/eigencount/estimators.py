@@ -30,7 +30,7 @@ from .noise import DEFAULT_MAX_ITER, DEFAULT_TOL, NoiseFit, estimate_noise_and_s
 from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
                             pe_rmt, pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import SignalStat, decision_statistic
-from .spectral import Spectrum, _check_integer
+from .spectral import Spectrum, _check_integer, _check_real, _is_integer
 from .tracy_widom import DEFAULT_BETA
 
 LOG_CLAMP = -700.0
@@ -51,12 +51,14 @@ class EstimatorConfig:
     real_dof: bool = False
 
     def __post_init__(self):
+        for name in ("alpha", "alpha0", "solver_tol", "modified_aic_c"):
+            _check_real(name, getattr(self, name))
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError("alpha must lie in (0, 1)")
         if not 0.5 < self.alpha0 < 1.0:
             raise InvalidInputError("alpha0 must lie in (0.5, 1)")
-        if self.beta not in (1, 2):
-            raise InvalidInputError("beta must be 1 or 2")
+        if not (_is_integer(self.beta) and self.beta in (1, 2)):
+            raise InvalidInputError(f"beta must be the integer 1 or 2, got {self.beta!r}")
         if not 0.0 < self.solver_tol < math.inf:
             raise InvalidInputError(f"solver_tol must be positive and finite, got {self.solver_tol}")
         _check_integer("solver_max_iter", self.solver_max_iter, 1)
@@ -65,9 +67,10 @@ class EstimatorConfig:
                 f"modified_aic_c must be positive and finite, got {self.modified_aic_c}")
         if not isinstance(self.real_dof, (bool, np.bool_)):
             raise InvalidInputError(f"real_dof must be a bool, got {self.real_dof!r}")
-        # Python floats, so that a numpy scalar given here reaches no scan value.
+        # Python numbers, so that a numpy scalar given here reaches no scan value.
         for name in ("alpha", "alpha0", "solver_tol", "modified_aic_c"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "beta", int(self.beta))
 
 
 class TraceRow(NamedTuple):
@@ -247,17 +250,22 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     interacted counterpart the eigenvalue is treated as noise and the TW
     test applies.  Otherwise step 2 compares the noise-assumption scores,
     with the comparison orientation depending on whether gamma < 1.
+
+    The scores are undefined for a non-positive fitted strength, and for a
+    statistic whose deviation underflowed to zero (subnormal eigenvalues at
+    large n); such a step falls back to the TW test and is flagged
+    degenerate.
     """
     k = fit.k
     if fit.lambda_hat[k - 1] <= 0.0:
-        # No usable strength estimate: the scores are undefined, fall back
-        # to the TW test and flag the step.
         return "rmt", {"degenerate": True}, None
     fit_km1 = estimate_noise_and_spikes(spectrum, k - 1, config.solver_tol,
                                         config.solver_max_iter)
     ctx = ThresholdContext(k=k, fit_k=fit, fit_km1=fit_km1, spectrum=spectrum,
                            gamma=spectrum.gamma, alpha=config.alpha,
                            alpha0=config.alpha0, beta=config.beta)
+    if ctx.stat.delta == 0.0:
+        return "rmt", {"degenerate": True, **_stat_columns(ctx.stat)}, None
     row = {
         "pe_srmt_plain": pe_srmt(ctx, with_interaction=False).p_total,
         "pe_rmt_inter": pe_rmt(ctx, with_interaction=True).p_total,

@@ -7,15 +7,22 @@ a few 1e-16 relative over (0, 1), comfortably inside the 1e-9 contract.
 
 The array polish in norm_ppf_array takes scipy's erfc, which differs from
 math.erfc in the last bit on a large share of inputs, so it is the only
-erfc a snapshot draw may use.  Importing scipy.special takes longer than
-the rest of the package together, so it is loaded on the first array
-polish, by _erfc_array, and not at import.
+erfc a snapshot draw may use.  It is loaded on the first array polish, by
+_erfc_array, and not at import.  Only the extension module that defines
+the ufunc, scipy/special/_special_ufuncs, is loaded: the scipy.special
+package would add about 14.5 MB of anonymous memory to every sweep process
+for this one function.  Where that module cannot be loaded, or does not
+hold an erfc ufunc with a float64 loop, scipy.special.erfc is imported
+instead; it is the same ufunc, so the draws keep their bits either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, ModuleSpec, PathFinder
 
 import numpy as np
 
@@ -36,10 +43,55 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
+# The extension module that defines scipy.special.erfc.
+_KERNEL = "scipy.special._special_ufuncs"
+# Allocated and freed once when the kernel loads; see _erfc_array.
+_MMAP_THRESHOLD_BYTES = 16 << 20
+
+
+def _kernel_erfc():
+    """erfc from _KERNEL, loaded without the scipy.special package; None
+    where the module is not found or does not load."""
+    if _KERNEL in sys.modules:  # scipy.special is loaded already
+        return getattr(sys.modules[_KERNEL], "erfc", None)
+    package, *rest = _KERNEL.split(".")
+    scipy = PathFinder.find_spec(package)
+    directories = scipy.submodule_search_locations if scipy else None
+    for directory in directories or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(directory, *rest) + suffix
+            if not os.path.isfile(path):
+                continue
+            loader = ExtensionFileLoader(_KERNEL, path)
+            try:
+                module = loader.create_module(ModuleSpec(_KERNEL, loader, origin=path))
+                loader.exec_module(module)
+            except ImportError:
+                return None
+            finally:
+                # A single-phase extension enters itself in sys.modules.  Take
+                # it out, so that a later import of scipy.special loads the
+                # module as a submodule of its package; it then holds the
+                # same ufunc objects.
+                sys.modules.pop(_KERNEL, None)
+            return getattr(module, "erfc", None)
+    return None
+
+
 @cache
 def _erfc_array():
-    """scipy.special.erfc, imported on the first call."""
-    from scipy.special import erfc
+    """scipy's erfc ufunc, loaded on the first call."""
+    erfc = _kernel_erfc()
+    if not (isinstance(erfc, np.ufunc) and "d->d" in erfc.types):
+        from scipy.special import erfc
+    # glibc raises its mmap threshold, up to 32 MB, to the size of any
+    # mmap-served block that is freed.  Importing scipy.special did so as a
+    # side effect; without it, the threshold stays at 128 KB and the
+    # multi-megabyte arrays of every fig4 trial are mapped and unmapped
+    # afresh, well over 100 minor page faults per request.  One 16 MB
+    # block, allocated and freed here, raises it once; its pages are never
+    # touched, so it costs no resident memory.  Other allocators ignore it.
+    np.empty(_MMAP_THRESHOLD_BYTES, dtype=np.uint8)
     return erfc
 
 

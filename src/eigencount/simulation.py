@@ -21,8 +21,8 @@ from .errors import InvalidInputError
 from .estimators import (METHOD_ORDER, ESTIMATORS, EstimatorConfig, _resolve_config,
                          _scan_pass)
 from .normal import _erfc_array, norm_ppf_array
-from .spectral import (PopulationModel, SnapshotMatrix, _check_integer, _is_integer,
-                       eig_sym_desc, sample_covariance)
+from .spectral import (PopulationModel, SnapshotMatrix, _check_integer, _check_real,
+                       _is_integer, eig_sym_desc, sample_covariance)
 
 DESK_TRIALS = 1000
 FULL_TRIALS = 3000
@@ -71,10 +71,11 @@ class ScenarioSpec:
     gamma, n = round(p / gamma)); more than one field per axis, two lists, an
     empty list, gamma <= 0, or a p, n or list entry that is not an integer of
     at least 2 raise InvalidInputError, as does a gamma that gives some p an
-    n below 2.  So do a sigma2 or lambda that is not finite, trials that is
-    not an integer of at least 1, a base_seed that is not a non-negative
-    integer, and a config that is not an EstimatorConfig.  A spec missing an
-    axis serves model(p) alone: sweep_points() raises on it.
+    n below 2.  So do a sigma2, gamma or lambda that is not a real number, a
+    sigma2 or lambda that is not finite, trials that is not an integer of at
+    least 1, a base_seed that is not a non-negative integer, and a config
+    that is not an EstimatorConfig.  A spec missing an axis serves model(p)
+    alone: sweep_points() raises on it.
     """
 
     lambdas: tuple[float, ...] = ()
@@ -90,6 +91,11 @@ class ScenarioSpec:
     config: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
+        _check_real("sigma2", self.sigma2)
+        for value in self.lambdas:
+            _check_real("every lambdas entry", value)
+        if self.gamma is not None:
+            _check_real("gamma", self.gamma)
         if not 0.0 < self.sigma2 < math.inf:
             raise InvalidInputError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if not all(self.sigma2 < l < math.inf for l in self.lambdas):
@@ -335,7 +341,7 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     returns, also when a block raises; a worker's exception is re-raised
     with its own class, and a worker that exits without sending raises
     RuntimeError.  The draw's erfc kernel is loaded before the workers
-    start, so forked workers inherit it and never import scipy themselves.
+    start, so forked workers inherit it and never load it themselves.
     Aggregation is a commutative count merge, so the result is identical
     for any execution order and any number of processes.
     """

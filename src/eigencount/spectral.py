@@ -32,6 +32,13 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise InvalidInputError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Raise InvalidInputError unless value is a real number: ints, floats
+    and numpy reals are; a bool, a string or a complex number is not."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SnapshotMatrix:
     """p-dimensional observations as columns of a p x n matrix."""
@@ -141,7 +148,12 @@ class PopulationModel:
 
     def __post_init__(self):
         _check_integer("p", self.p, 1)
-        lam = np.atleast_1d(np.asarray(self.signal_strengths, dtype=float))
+        _check_real("noise_variance", self.noise_variance)
+        lam = np.atleast_1d(np.asarray(self.signal_strengths))
+        if lam.dtype.kind not in "iuf":
+            raise InvalidInputError(
+                f"signal_strengths must be real numbers, got {self.signal_strengths!r}")
+        lam = lam.astype(float)
         if lam.size >= self.p:
             raise InvalidInputError("need q < p")
         if not np.all(np.isfinite(lam)):

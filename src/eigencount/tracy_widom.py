@@ -1,16 +1,17 @@
 """Tracy-Widom distribution (beta = 1, 2) and the edge centering/scaling.
 
-The CDF is evaluated from an embedded table (see scripts/make_tw_table.py
-for regeneration) through a shape-preserving monotone cubic interpolant,
-so the interpolated CDF is itself monotone and the quantile is well
-defined.  Outside the table the CDF saturates to 0 / 1; the tabulated
-endpoints already carry less than 1e-9 of probability mass.  The
-interpolant is evaluated once per point, on Python floats.
+The CDF is evaluated from a table shipped with the package (_tw_cdf.bin;
+see scripts/make_tw_table.py for regeneration) through a shape-preserving
+monotone cubic interpolant, so the interpolated CDF is itself monotone and
+the quantile is well defined.  Outside the table the CDF saturates to 0 /
+1; the tabulated endpoints already carry less than 1e-9 of probability
+mass.  The interpolant is evaluated once per point, on Python floats.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -50,10 +51,22 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return m
 
 
+# The CDF columns, written by scripts/make_tw_table.py beside this module.
+_TABLE = os.path.join(os.path.dirname(__file__), "_tw_cdf.bin")
+
+
+def _read_columns(size: int) -> dict[int, np.ndarray]:
+    """beta -> CDF column: the file holds the beta = 1 column, then the
+    beta = 2 column, each size little-endian float64 values."""
+    with open(_TABLE, "rb") as table:
+        columns = np.frombuffer(table.read(), dtype="<f8").reshape(2, size)
+    return {1: columns[0], 2: columns[1]}
+
+
 # scripts/make_tw_table.py's grid expression; _tw_data holds only its constants.
 _GRID = np.round(np.arange(_tw_data.X_MIN, _tw_data.X_MAX + _tw_data.STEP / 2,
                            _tw_data.STEP), 6)
-_CDF = {1: np.array(_tw_data.CDF_BETA1), 2: np.array(_tw_data.CDF_BETA2)}
+_CDF = _read_columns(_GRID.size)
 # Grid, CDF values and interpolant slopes as lists of Python floats.
 _LISTS = {beta: (_GRID.tolist(), cdf.tolist(), _pchip_slopes(_GRID, cdf).tolist())
           for beta, cdf in _CDF.items()}

@@ -277,7 +277,10 @@ class TestCommonProperties:
                 ("solver_tol", float("inf")), ("solver_max_iter", -3), ("solver_max_iter", 0),
                 ("solver_max_iter", 50.0), ("modified_aic_c", float("nan")),
                 ("modified_aic_c", float("inf")), ("modified_aic_c", -1.0),
-                ("modified_aic_c", 0.0), ("real_dof", "yes"), ("solver_max_iter", True)]:
+                ("modified_aic_c", 0.0), ("real_dof", "yes"), ("solver_max_iter", True),
+                # Not real numbers, and a beta that is not the integer 1 or 2.
+                ("alpha", "x"), ("alpha0", "0.9"), ("solver_tol", "1e-8"),
+                ("modified_aic_c", "2"), ("beta", True), ("beta", 2.0), ("beta", "1")]:
             with pytest.raises(InvalidInputError, match=field):
                 ec.EstimatorConfig(**{field: value})
         # config itself must be None or an EstimatorConfig: {} and 0 are not
@@ -630,8 +633,9 @@ class TestSharedComputation:
         values = np.array([4.47, 4.4, 2.3, 2.04, 1.42, 1.38, 1.34, 0.91, 0.56])
         spectrum = ec.Spectrum(values, np.int64(9), np.int64(56))
         config = ec.EstimatorConfig(alpha=np.float64(0.05), alpha0=np.float64(0.9),
-                                    solver_tol=np.float64(1e-8))
-        assert (type(spectrum.p), type(spectrum.n), type(config.alpha)) == (int, int, float)
+                                    beta=np.int64(1), solver_tol=np.float64(1e-8))
+        assert (type(spectrum.p), type(spectrum.n), type(config.alpha),
+                type(config.beta)) == (int, int, float, int)
         for method in ("rmt", "srmt", "sns"):
             for row in ec.estimate(spectrum, method, config).trace.rows:
                 for value in row:

@@ -1,10 +1,14 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import erfc, ndtri
 
+from eigencount import normal
 from eigencount.errors import InvalidInputError
-from eigencount.normal import (_P_LOW, _SQRT2, _SQRT2PI, _acklam, norm_cdf, norm_pdf,
-                               norm_ppf, norm_ppf_array, norm_sf, normal_tail_inv)
+from eigencount.normal import (_P_LOW, _SQRT2, _SQRT2PI, _acklam, _erfc_array, norm_cdf,
+                               norm_pdf, norm_ppf, norm_ppf_array, norm_sf, normal_tail_inv)
 
 
 def test_tail_inv_median():
@@ -151,3 +155,24 @@ class TestKernelEquivalence:
         probs = np.concatenate([_kernel_boundaries(), rng.random(20000)])
         for p in probs.tolist():
             assert repr(norm_ppf(p)) == repr(_reference_ppf(p)), p
+
+
+class TestErfcKernel:
+    """The draw's erfc is scipy.special.erfc, loaded from its extension module."""
+
+    def test_loads_from_the_extension_file_with_scipy_bits(self, monkeypatch):
+        # Without the entry scipy.special left in sys.modules, the kernel is
+        # loaded from its file, and leaves no entry of its own.
+        monkeypatch.delitem(sys.modules, normal._KERNEL)
+        kernel = normal._kernel_erfc()
+        assert isinstance(kernel, np.ufunc) and "d->d" in kernel.types
+        assert normal._KERNEL not in sys.modules
+        # cephes switches formula at |x| = 1 and 8 and underflows past ~26.6.
+        x = np.concatenate([np.linspace(-27.0, 27.0, 270001),
+                            [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, 26.5, 26.7, 27.0]])
+        x = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+        assert kernel(x).tobytes() == erfc(x).tobytes()
+
+    def test_falls_back_to_scipy_special_when_the_check_fails(self, monkeypatch):
+        monkeypatch.setattr(normal, "_kernel_erfc", lambda: math.erfc)
+        assert _erfc_array.__wrapped__() is erfc

@@ -5,6 +5,7 @@ import pytest
 
 import eigencount as ec
 from eigencount.errors import InvalidInputError
+from eigencount.estimators import _scan_pass
 from eigencount.normal import norm_cdf
 from eigencount.probabilities import (ProbPair, ThresholdContext, _quotient, _z_threshold,
                                       pe_rmt, pe_srmt)
@@ -201,7 +202,8 @@ class TestPeSrmt:
 class TestUnderflowedDeviation:
     """On subnormal eigenvalues at large n the statistic's deviation
     underflows to zero.  The scores divide by it as float64 arithmetic does,
-    to +-inf or NaN, and never raise a raw ZeroDivisionError."""
+    to +-inf or NaN, and never raise a raw ZeroDivisionError; sns does not
+    score such a step, but applies the TW test and flags it degenerate."""
 
     def test_quotient_by_zero_follows_ieee(self):
         assert _quotient(3.0, 2.0) == 1.5
@@ -210,13 +212,19 @@ class TestUnderflowedDeviation:
         assert math.isnan(_quotient(0.0, 0.0))
         assert math.isnan(_quotient(math.nan, 0.0))
 
-    def test_sns_raises_a_typed_error(self):
+    def test_sns_falls_back_to_the_tw_test(self):
         spectrum = ec.Spectrum.from_values([1.63e-314, 2e-317, 3.5e-323, 2e-323], 1087)
         row = ec.estimate_signal_search(spectrum).trace.rows[-1]
         assert (row.k, row.delta_k, row.delta_valid) == (3, 0.0, True)
-        # The NaN score of the last step is rejected as ProbPair rejects it.
-        with pytest.raises(InvalidInputError):
-            ec.estimate_sns(spectrum)
+        estimate = ec.estimate_sns(spectrum)
+        row = estimate.trace.rows[-1]
+        assert (row.k, row.criterion, row.delta_k, row.degenerate) == (3, "rmt", 0.0, True)
+        assert row.pe_srmt_plain is None and row.theta_rmt is not None
+        assert estimate.degenerate
+        assert estimate.q_hat == ec.estimate_rmt(spectrum).q_hat == 3
+        # The untraced pass of a sweep gives the same count.
+        config = ec.EstimatorConfig()
+        assert _scan_pass(spectrum, config, ("rmt", "srmt", "sns"))["sns"] == 3
 
 
 class TestProbPair:

@@ -518,6 +518,15 @@ class TestScenarioSpec:
         with pytest.raises(InvalidInputError, match=field):
             ScenarioSpec(p=10, n=20, **values)
 
+    @pytest.mark.parametrize("values, field", [
+        (dict(n=20, sigma2="1"), "sigma2"),
+        (dict(n=20, sigma2=True), "sigma2"),
+        (dict(n=20, lambdas=(5.0, "3")), "lambdas"),
+        (dict(gamma="0.5"), "gamma")])
+    def test_non_numeric_model_value_is_rejected_at_construction(self, values, field):
+        with pytest.raises(InvalidInputError, match=field):
+            ScenarioSpec(p=10, **values)
+
     @pytest.mark.parametrize("geometry", [dict(), dict(p=60), dict(p_list=(20, 40)),
                                           dict(n=30), dict(gamma=0.5)])
     def test_spec_missing_an_axis_has_no_sweep_points(self, geometry):

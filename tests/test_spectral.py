@@ -326,6 +326,16 @@ class TestTypes:
         with pytest.raises(InvalidInputError, match=field):
             ec.PopulationModel(np.array(strengths), noise_variance, 10)
 
+    @pytest.mark.parametrize("strengths, noise_variance, field", [
+        (np.array([3.0]), "1", "noise_variance"),
+        (np.array([3.0]), True, "noise_variance"),
+        (["3"], 1.0, "signal_strengths"),
+        (np.array([True]), 1.0, "signal_strengths")])
+    def test_population_model_rejects_non_numeric_values(self, strengths, noise_variance,
+                                                         field):
+        with pytest.raises(InvalidInputError, match=field):
+            ec.PopulationModel(strengths, noise_variance, 10)
+
 
 class TestSpectrumContract:
     @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))

@@ -224,6 +224,9 @@ QUANTILE_ALPHAS = (0.05, 0.01, 0.005, 0.001)
 # (array path, then the scalar path point by point) and of tw_quantile at
 # QUANTILE_ALPHAS.  A change meant to keep the TW arithmetic must keep them.
 GOLDEN_GRID = "06a2d12183c2f6b31b991589b010703cfab1297902bf4a57f059ff0737b0c490"
+# sha256 of _tw_cdf.bin, the beta = 1 then beta = 2 CDF column as
+# little-endian float64; the values of the literals it replaced.
+GOLDEN_TABLE = "94aa97153aad02d2ecf252f1f5b525dde68195fdf1c3d80a1816133a58b3f543"
 GOLDEN_TW = {
     1: ("5cee25996204083e91fc12f9cc15ced58291b6d44aa045d9be08943aa7b55735",
         "53e001a598a32b56c5a7801016ee090a3f4e2c9aeecac588678977104f5eda0b"),
@@ -235,6 +238,10 @@ GOLDEN_TW = {
 class TestGoldenBits:
     def test_grid(self):
         assert _sha256(tracy_widom._GRID) == GOLDEN_GRID
+
+    def test_table_file(self):
+        with open(tracy_widom._TABLE, "rb") as table:
+            assert hashlib.sha256(table.read()).hexdigest() == GOLDEN_TABLE
 
     @pytest.mark.parametrize("beta", (1, 2))
     def test_cdf_on_both_paths(self, beta):

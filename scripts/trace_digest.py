@@ -34,6 +34,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=50, help="draws per sweep point (50)")
     args = parser.parse_args()
+    if args.draws < 1:
+        parser.error(f"--draws must be at least 1, got {args.draws}")
 
     digest = hashlib.sha256()
     spectra = rows = 0

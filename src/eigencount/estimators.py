@@ -30,8 +30,8 @@ from .noise import DEFAULT_MAX_ITER, DEFAULT_TOL, NoiseFit, estimate_noise_and_s
 from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
                             pe_rmt, pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import SignalStat, decision_statistic
-from .spectral import Spectrum, _check_integer, _check_real, _is_integer
-from .tracy_widom import DEFAULT_BETA
+from .spectral import Spectrum, _check_integer, _check_real
+from .tracy_widom import DEFAULT_BETA, _check_beta
 
 LOG_CLAMP = -700.0
 
@@ -57,8 +57,7 @@ class EstimatorConfig:
             raise InvalidInputError("alpha must lie in (0, 1)")
         if not 0.5 < self.alpha0 < 1.0:
             raise InvalidInputError("alpha0 must lie in (0.5, 1)")
-        if not (_is_integer(self.beta) and self.beta in (1, 2)):
-            raise InvalidInputError(f"beta must be the integer 1 or 2, got {self.beta!r}")
+        _check_beta(self.beta)
         if not 0.0 < self.solver_tol < math.inf:
             raise InvalidInputError(f"solver_tol must be positive and finite, got {self.solver_tol}")
         _check_integer("solver_max_iter", self.solver_max_iter, 1)

@@ -48,15 +48,17 @@ class NoiseFit(NamedTuple):
         return any(self.degenerate_roots)
 
 
-def _spike_roots(leading, sigma2: float, shift: float) -> tuple[list[float], list[bool]]:
-    """Larger root of the spike quadratic for each eigenvalue l in leading.
+def _roots_pass(leading, sigma2: float, shift: float) -> tuple[list[float], list[bool]]:
+    """Larger root of the spike quadratic for each eigenvalue l in leading,
+    with its clamp flag.
 
     rho solves rho^2 - b rho + l sigma2 = 0 with b = l + sigma2 * shift and
     shift = 1 - (p - k) / n.  A negative discriminant means the eigenvalue is
     too small to support a spike under this noise level; the root is then
     clamped to the quadratic vertex and flagged rather than raised, so
     sequential scans can continue.  Python floats throughout: for the few
-    roots of a scan step this beats array code.
+    roots of a scan step this beats array code.  The caller checks that
+    l > 0 and sigma2 > 0.
 
     Where b * b or 4 l sigma2 leaves the normal float range (|b| above about
     1.3e154 or below 1.5e-154, say), the discriminant is divided by b^2
@@ -64,26 +66,9 @@ def _spike_roots(leading, sigma2: float, shift: float) -> tuple[list[float], lis
     range the unscaled expression is used.  (4 l sigma2 is formed as
     l * (4 sigma2): scaling by 4 is exact, so that is the same float.)
     """
-    _check_roots_args(leading, sigma2)
-    roots, degenerate, _ = _roots_pass(leading, sigma2, shift)
-    return roots, degenerate
-
-
-def _check_roots_args(leading, sigma2: float) -> None:
-    if sigma2 <= 0.0 or min(leading) <= 0.0:
-        raise InvalidInputError("need l > 0 and sigma2 > 0")
-
-
-def _roots_pass(leading, sigma2: float,
-                shift: float) -> tuple[list[float], list[bool], list[float]]:
-    """_spike_roots without the argument check, plus the terms l - rho.
-
-    One pass yields everything a fixed-point iteration or a fit reads, so
-    the quadratic is written once.
-    """
     bias = sigma2 * shift
     four_sigma2 = 4.0 * sigma2
-    roots, degenerate, excess = [], [], []
+    roots, degenerate = [], []
     for l in leading:
         b = l + bias
         square, product = b * b, l * four_sigma2
@@ -97,12 +82,11 @@ def _roots_pass(leading, sigma2: float,
             root, flag = _scaled_root(l, b, sigma2)
         roots.append(root)
         degenerate.append(flag)
-        excess.append(l - root)
-    return roots, degenerate, excess
+    return roots, degenerate
 
 
 def _scaled_root(l: float, b: float, sigma2: float) -> tuple[float, bool]:
-    """_spike_roots for one eigenvalue, with the discriminant divided by b^2."""
+    """_roots_pass for one eigenvalue, with the discriminant divided by b^2."""
     scale = abs(b)
     unit_disc = 1.0 - 4.0 * (l / scale) * (sigma2 / scale) if scale else -1.0
     if unit_disc < 0.0:
@@ -147,7 +131,7 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
     shift = 1.0 - (p - k) / n
 
     def fit(sigma2, converged, iterations):
-        rho, degenerate, _ = _roots_pass(leading, sigma2, shift)
+        rho, degenerate = _roots_pass(leading, sigma2, shift)
         # Tuples of lists, not of generators: CPython builds a tuple from a
         # generator by over-allocating and shrinking it, and each such tuple
         # strands a block on the tuple free lists, so memory grew per fit.
@@ -157,8 +141,9 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
     if k == 0:
         return fit(sigma2_init, True, 0)
 
-    _check_roots_args(leading, sigma2_init)
     lo, hi = min(leading), max(leading)
+    if sigma2_init <= 0.0 or lo <= 0.0:
+        raise InvalidInputError("need l > 0 and sigma2 > 0")
     sigma2 = sigma2_init
     for iteration in range(1, max_iter + 1):
         bias, four_sigma2 = sigma2 * shift, 4.0 * sigma2
@@ -175,8 +160,8 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
                 disc = b * b - l * four_sigma2
                 excess += l - (b / 2.0 if disc < 0.0 else (b + math.sqrt(disc)) / 2.0)
         else:
-            for term in _roots_pass(leading, sigma2, shift)[2]:
-                excess += term
+            for l, root in zip(leading, _roots_pass(leading, sigma2, shift)[0]):
+                excess += l - root
         sigma2_new = (tail_sum + excess) / (p - k)
         if sigma2_new <= 0.0:
             return fit(sigma2_init, False, iteration)

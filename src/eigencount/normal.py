@@ -200,6 +200,4 @@ def normal_tail_inv(p: float) -> float:
 
     Note Q^{-1}(p) < 0 for p > 0.5; e.g. Q^{-1}(0.995) = -2.5758...
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidInputError(f"probability must lie in (0, 1), got {p}")
     return -norm_ppf(p)

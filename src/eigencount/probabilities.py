@@ -87,11 +87,10 @@ class ProbPair:
 class ThresholdContext:
     """Everything step k of the adaptive scan needs to score both tests.
 
-    What the scores read is computed once per context: the signal-search
-    statistic (stat) and theta_srmt at construction, the TW edge and
-    threshold of each hypothesis on first use (_edge), since step 1 of the
-    scan never reads the noise-assumption edge.  The pe_* and theta_*
-    functions only read these.
+    What the scores read is computed once, at construction: the
+    signal-search statistic (stat), theta_srmt, and the TW edge and
+    threshold of each hypothesis (_edges).  The pe_* and theta_* functions
+    only read these.
     """
 
     k: int
@@ -114,22 +113,16 @@ class ThresholdContext:
         # threshold on l_k equivalent to the signal-search test on z.
         bulk_edge = (1.0 + math.sqrt(gamma)) * fit_k.sigma2_hat
         theta_srmt = (bulk_edge - stat.delta * _q_inv(alpha0)) * stat.kappa
+        # (sigma2, mu, sc, TW threshold) at the noise edge each variant uses,
+        # indexed by assume_signal: hypothesis k-1 under the noise
+        # assumption, hypothesis k under the signal one.
+        edges = tuple([(*_tw_edge(fit), _tw_threshold(fit, alpha, beta))
+                       for fit in (fit_km1, fit_k)])
         # Set directly, as ProbPair does; the context stays frozen.
         self.__dict__.update(k=k, fit_k=fit_k, fit_km1=fit_km1, spectrum=spectrum,
                              gamma=gamma, alpha=alpha, alpha0=alpha0, beta=beta,
                              stat=stat, _bulk_edge=bulk_edge, _theta_srmt=theta_srmt,
-                             _edges=[None, None])
-
-    def _edge(self, assume_signal: bool) -> tuple[float, float, float, float]:
-        """(sigma2, mu, sc, TW threshold) at the noise edge the requested
-        variant uses: hypothesis k under the signal assumption, hypothesis
-        k-1 under the noise one."""
-        edge = self._edges[assume_signal]
-        if edge is None:
-            fit = self.fit_k if assume_signal else self.fit_km1
-            edge = (*_tw_edge(fit), _tw_threshold(fit, self.alpha, self.beta))
-            self._edges[assume_signal] = edge
-        return edge
+                             _edges=edges)
 
     @property
     def v_k(self) -> float:
@@ -150,7 +143,7 @@ class ThresholdContext:
 
 def theta_rmt(ctx: ThresholdContext, assume_signal: bool = True) -> float:
     """Tracy-Widom threshold on l_k for the noise-eigenvalue test."""
-    return ctx._edge(assume_signal)[3]
+    return ctx._edges[assume_signal][3]
 
 
 def theta_srmt(ctx: ThresholdContext) -> float:
@@ -162,7 +155,7 @@ def pe_rmt(ctx: ThresholdContext, with_interaction: bool,
            assume_signal: bool = True) -> ProbPair:
     """Misdetection score of the noise-eigenvalue (TW-threshold) test."""
     stat = ctx.stat
-    sigma2, _, sc, theta = ctx._edge(assume_signal)
+    sigma2, _, sc, theta = ctx._edges[assume_signal]
     v = stat.v if with_interaction else 0.0
     if not stat.delta_valid:
         # Subcritical strength: the test cannot detect such a spike.
@@ -195,6 +188,6 @@ def pe_srmt(ctx: ThresholdContext, with_interaction: bool,
         p_miss = norm_cdf(_q_inv(ctx.alpha0) + _quotient(stat.v, stat.kappa * stat.delta))
 
     v = stat.v if with_interaction else 0.0
-    sigma2, mu, sc, _ = ctx._edge(assume_signal)
+    sigma2, mu, sc, _ = ctx._edges[assume_signal]
     p_false = 1.0 - tw_cdf(((ctx._theta_srmt + v) / sigma2 - mu) / sc, ctx.beta)
     return ProbPair(p_miss=p_miss, p_false=p_false)

@@ -21,8 +21,8 @@ from .errors import InvalidInputError
 from .estimators import (METHOD_ORDER, ESTIMATORS, EstimatorConfig, _resolve_config,
                          _scan_pass)
 from .normal import _erfc_array, norm_ppf_array
-from .spectral import (PopulationModel, SnapshotMatrix, _check_integer, _check_real,
-                       _is_integer, eig_sym_desc, sample_covariance)
+from .spectral import (PopulationModel, SnapshotMatrix, Spectrum, _check_integer,
+                       _check_real, _is_integer, eig_sym_desc, sample_covariance)
 
 DESK_TRIALS = 1000
 FULL_TRIALS = 3000
@@ -71,11 +71,11 @@ class ScenarioSpec:
     gamma, n = round(p / gamma)); more than one field per axis, two lists, an
     empty list, gamma <= 0, or a p, n or list entry that is not an integer of
     at least 2 raise InvalidInputError, as does a gamma that gives some p an
-    n below 2.  So do a sigma2, gamma or lambda that is not a real number, a
-    sigma2 or lambda that is not finite, trials that is not an integer of at
-    least 1, a base_seed that is not a non-negative integer, and a config
-    that is not an EstimatorConfig.  A spec missing an axis serves model(p)
-    alone: sweep_points() raises on it.
+    n below 2.  So do lambdas that are not a sequence, a sigma2, gamma or
+    lambda that is not a real number, a sigma2 or lambda that is not finite,
+    trials that is not an integer of at least 1, a base_seed that is not a
+    non-negative integer, and a config that is not an EstimatorConfig.  A
+    spec missing an axis serves model(p) alone: sweep_points() raises on it.
     """
 
     lambdas: tuple[float, ...] = ()
@@ -92,6 +92,11 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _check_real("sigma2", self.sigma2)
+        try:
+            len(self.lambdas)
+        except TypeError:
+            raise InvalidInputError(
+                f"lambdas must be a sequence of real numbers, got {self.lambdas!r}") from None
         for value in self.lambdas:
             _check_real("every lambdas entry", value)
         if self.gamma is not None:
@@ -209,9 +214,8 @@ def trial_rng(base_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def generate_snapshots(model: PopulationModel, n: int,
-                       rng: np.random.Generator) -> SnapshotMatrix:
-    """n Gaussian observations with the model's diagonal covariance.
+def _draw_snapshots(model: PopulationModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The p x n snapshot array of one draw.
 
     Uniform draws are mapped through the package's inverse-normal kernel in
     a fixed row-major order, so the matrix depends only on the stream state.
@@ -220,7 +224,27 @@ def generate_snapshots(model: PopulationModel, n: int,
     u = rng.random(size=(model.p, n))
     z = norm_ppf_array(np.maximum(u, 2.0**-64))
     scale = np.sqrt(model.covariance_diagonal())
-    return SnapshotMatrix.from_array(z * scale[:, None])
+    return z * scale[:, None]
+
+
+def generate_snapshots(model: PopulationModel, n: int,
+                       rng: np.random.Generator) -> SnapshotMatrix:
+    """n Gaussian observations with the model's diagonal covariance.
+
+    The matrix depends only on the stream state; _draw_spectrum takes the
+    same draw.
+    """
+    return SnapshotMatrix(_draw_snapshots(model, n, rng))
+
+
+def _draw_spectrum(model: PopulationModel, n: int, rng: np.random.Generator) -> Spectrum:
+    """The sample spectrum of one trial's draw, the one generate_snapshots
+    returns.
+
+    The array goes to sample_covariance without SnapshotMatrix's scan for
+    non-finite entries: sample_covariance raises the same error on them.
+    """
+    return eig_sym_desc(sample_covariance(_draw_snapshots(model, n, rng)), n)
 
 
 def run_trial(spec: ScenarioSpec, trial_index: int,
@@ -238,10 +262,7 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
         if len(points) != 1:
             raise InvalidInputError("sweep scenarios must pass (p, n) explicitly")
         _, p, n = points[0]
-    model = spec.model(p)
-    rng = trial_rng(spec.base_seed, trial_index)
-    snapshots = generate_snapshots(model, n, rng)
-    spectrum = eig_sym_desc(sample_covariance(snapshots.data), n)
+    spectrum = _draw_spectrum(spec.model(p), n, trial_rng(spec.base_seed, trial_index))
     scans = _scan_pass(spectrum, spec.config, spec.methods)
     return {m: scans[m] if m in scans else ESTIMATORS[m](spectrum, spec.config).q_hat
             for m in spec.methods}

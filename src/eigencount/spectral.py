@@ -44,8 +44,6 @@ class SnapshotMatrix:
     """p-dimensional observations as columns of a p x n matrix."""
 
     data: np.ndarray
-    p: int
-    n: int
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -56,14 +54,15 @@ class SnapshotMatrix:
             raise InvalidInputError(f"need p >= 2 and n >= 2, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("snapshot data contains non-finite entries")
-        if (self.p, self.n) != (p, n):
-            raise InvalidInputError("declared (p, n) does not match the data shape")
         object.__setattr__(self, "data", data)
 
-    @classmethod
-    def from_array(cls, data: np.ndarray) -> "SnapshotMatrix":
-        data = np.asarray(data, dtype=float)
-        return cls(data, data.shape[0], data.shape[1])
+    @property
+    def p(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -153,6 +152,9 @@ class PopulationModel:
         if lam.dtype.kind not in "iuf":
             raise InvalidInputError(
                 f"signal_strengths must be real numbers, got {self.signal_strengths!r}")
+        if lam.ndim != 1:
+            raise InvalidInputError(
+                f"signal_strengths must be a 1-D vector, got shape {lam.shape}")
         lam = lam.astype(float)
         if lam.size >= self.p:
             raise InvalidInputError("need q < p")

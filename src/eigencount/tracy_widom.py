@@ -19,9 +19,17 @@ import numpy as np
 
 from . import _tw_data
 from .errors import InvalidInputError
+from .spectral import _is_integer
 
 # The default symmetry class: beta = 1 for real data, 2 for complex.
 DEFAULT_BETA = 1
+
+
+def _check_beta(beta) -> None:
+    """Raise InvalidInputError unless beta is the integer 1 or 2: a bool, a
+    float (2.0 included) or a string is not."""
+    if not (_is_integer(beta) and beta in (1, 2)):
+        raise InvalidInputError(f"beta must be the integer 1 or 2, got {beta!r}")
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -79,8 +87,7 @@ def tw_cdf(x, beta: int = DEFAULT_BETA):
     point by point and returned as an array of its shape.  NaN and
     non-numeric arguments are rejected.
     """
-    if beta not in _LISTS:
-        raise InvalidInputError(f"beta must be 1 or 2, got {beta}")
+    _check_beta(beta)
     if not isinstance(x, (float, int)):
         try:
             points = np.asarray(x, dtype=float)
@@ -117,9 +124,10 @@ def tw_quantile(alpha: float, beta: int = DEFAULT_BETA) -> float:
     """The threshold s(alpha) with F_beta(s) = 1 - alpha, by bisection."""
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_beta(beta)
     target = 1.0 - alpha
     lo, hi = float(_GRID[0]), float(_GRID[-1])
-    while hi - lo > 1e-8:  # at least one step, so tw_cdf checks beta
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if tw_cdf(mid, beta) < target:
             lo = mid

@@ -7,7 +7,7 @@ import pytest
 
 import eigencount as ec
 from eigencount.errors import InvalidInputError
-from eigencount.noise import DEFAULT_TOL, _fixed_point, _spike_roots
+from eigencount.noise import DEFAULT_TOL, _fixed_point, _roots_pass
 from eigencount.spectral import Spectrum
 from tests.conftest import sampled_spectrum, spectrum_from_values
 
@@ -19,8 +19,8 @@ def mle_noise(spectrum, k):
 
 
 def solve_rho(l, sigma2, p, k, n):
-    """_spike_roots for one eigenvalue under hypothesis k; (root, flag)."""
-    roots, degenerate = _spike_roots([l], sigma2, 1.0 - (p - k) / n)
+    """_roots_pass for one eigenvalue under hypothesis k; (root, flag)."""
+    roots, degenerate = _roots_pass([l], sigma2, 1.0 - (p - k) / n)
     return roots[0], degenerate[0]
 
 
@@ -83,8 +83,12 @@ class TestSolveRho:
                 assert degenerate
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInputError):
-            solve_rho(0.0, 1.0, 10, 1, 10)
+        """A zero noise initialiser (k = 2) or a zero leading eigenvalue
+        (k = 3) has no spike roots."""
+        spectrum = spectrum_from_values([4.0, 2.0, 0.0, 0.0, 0.0], 10)
+        for k in (2, 3):
+            with pytest.raises(InvalidInputError, match="need l > 0 and sigma2 > 0"):
+                ec.estimate_noise_and_spikes(spectrum, k)
 
 
 class TestJointSolver:
@@ -304,8 +308,8 @@ class TestSpikeRootRange:
         scale = 2.0 ** power
         leading = [9.0, 4.0, 1.2, 0.5]
         for shift in (0.5, -0.4, -3.0):
-            unit = ec.noise._spike_roots(leading, 1.1, shift)
-            scaled = ec.noise._spike_roots([l * scale for l in leading], 1.1 * scale, shift)
+            unit = ec.noise._roots_pass(leading, 1.1, shift)
+            scaled = ec.noise._roots_pass([l * scale for l in leading], 1.1 * scale, shift)
             assert scaled[1] == unit[1]
             for root, unit_root in zip(*(scaled[0], unit[0])):
                 assert math.isfinite(root)
@@ -317,7 +321,7 @@ class TestSpikeRootRange:
             l = float(10.0 ** rng.uniform(-150.0, 150.0))
             sigma2 = l * float(rng.uniform(0.01, 2.0))
             shift = float(rng.uniform(-3.0, 1.0))
-            (root,), (flag,) = ec.noise._spike_roots([l], sigma2, shift)
+            (root,), (flag,) = ec.noise._roots_pass([l], sigma2, shift)
             b = l + sigma2 * shift
             disc = b * b - 4.0 * l * sigma2
             assert flag == (disc < 0.0)

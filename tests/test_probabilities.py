@@ -64,9 +64,10 @@ class TestThetaRmt:
 
 class TestThetaSrmt:
     def test_alpha0_half_bulk_edge(self):
-        # q = p makes kappa exactly 1; Qinv(0.5) = 0
-        ctx = synthetic_ctx([3.0, 2.0], 1.0, p=2, n=10, alpha0=0.5)
-        assert ec.theta_srmt(ctx) == pytest.approx(1.0 + math.sqrt(0.2), rel=1e-12)
+        # Qinv(0.5) = 0 leaves the bulk edge (1 + sqrt(gamma)) sigma2, times kappa
+        ctx = synthetic_ctx([3.0, 2.0], 1.0, p=3, n=10, alpha0=0.5)
+        assert ec.theta_srmt(ctx) == pytest.approx((1.0 + math.sqrt(0.3)) * ctx.kappa_k,
+                                                   rel=1e-12)
 
     def test_hand_composition(self):
         ctx = synthetic_ctx([7.0, 5.0], 1.0, p=100, n=200)
@@ -243,3 +244,6 @@ class TestProbPair:
         with pytest.raises(InvalidInputError):
             ThresholdContext(k=2, fit_k=fit1, fit_km1=fit0, spectrum=spectrum,
                              gamma=0.5, alpha=0.005, alpha0=0.995)
+        # Hypothesis k = p leaves no noise eigenvalue, so no TW edge.
+        with pytest.raises(InvalidInputError):
+            synthetic_ctx([3.0, 2.0], 1.0, p=2, n=10)

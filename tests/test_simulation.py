@@ -522,6 +522,7 @@ class TestScenarioSpec:
         (dict(n=20, sigma2="1"), "sigma2"),
         (dict(n=20, sigma2=True), "sigma2"),
         (dict(n=20, lambdas=(5.0, "3")), "lambdas"),
+        (dict(n=20, lambdas=3.0), "lambdas"),
         (dict(gamma="0.5"), "gamma")])
     def test_non_numeric_model_value_is_rejected_at_construction(self, values, field):
         with pytest.raises(InvalidInputError, match=field):

@@ -302,17 +302,25 @@ class TestTypes:
 
     def test_snapshot_matrix_validation(self):
         with pytest.raises(InvalidInputError):
-            SnapshotMatrix.from_array(np.ones((1, 5)))
+            SnapshotMatrix(np.ones((1, 5)))
         with pytest.raises(InvalidInputError):
-            SnapshotMatrix.from_array(np.ones((5, 1)))
-        snap = SnapshotMatrix.from_array(np.ones((2, 3)))
+            SnapshotMatrix(np.ones((5, 1)))
+        with pytest.raises(InvalidInputError, match="2-D"):
+            SnapshotMatrix(np.ones(5))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            SnapshotMatrix(np.array([[1.0, np.nan], [2.0, 3.0]]))
+        snap = SnapshotMatrix(np.ones((2, 3)))
         assert (snap.p, snap.n) == (2, 3)
+        with pytest.raises(AttributeError):
+            snap.p = 4
 
     def test_population_model_validation(self):
         with pytest.raises(InvalidInputError):
             ec.PopulationModel(np.array([1.0, 2.0]), 1.0, 10)  # not descending
         with pytest.raises(InvalidInputError):
             ec.PopulationModel(np.array([1.0]), 1.0, 1)  # q >= p
+        with pytest.raises(InvalidInputError, match="1-D"):
+            ec.PopulationModel(np.array([[3.0, 2.0]]), 1.0, 10)
         model = ec.PopulationModel(np.array([3.0, 1.0]), 2.0, 4)
         np.testing.assert_allclose(model.covariance_diagonal(), [5.0, 3.0, 2.0, 2.0])
 

@@ -69,10 +69,12 @@ class TestCdf:
             assert var == pytest.approx(ref_var, abs=2e-3)
 
     def test_unsupported_beta(self):
-        with pytest.raises(InvalidInputError):
-            ec.tw_cdf(0.0, 3)
-        with pytest.raises(InvalidInputError):
-            ec.tw_quantile(0.05, 3)
+        """beta is the integer 1 or 2; a bool, a float or a string is not."""
+        for beta in (3, True, 2.0, "1"):
+            with pytest.raises(InvalidInputError, match="the integer 1 or 2"):
+                ec.tw_cdf(0.0, beta)
+            with pytest.raises(InvalidInputError, match="the integer 1 or 2"):
+                ec.tw_quantile(0.005, beta)
 
 
 class TestQuantile:

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: estimate (signal count from a CSV of eigenvalues or
-snapshots), sweep (Monte Carlo misdetection runs; simulate is an alias), tw
-(Tracy-Widom CDF / quantile queries), trace (decision-trace dump for one
-sequential estimator).
+snapshots), sweep (Monte Carlo misdetection runs), tw (Tracy-Widom CDF /
+quantile queries), trace (decision-trace dump for one sequential
+estimator).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -85,19 +85,8 @@ def _config_from(args) -> EstimatorConfig:
 def _cmd_estimate(args) -> int:
     spectrum = _load_spectrum(args)
     config = _config_from(args)
-    methods = METHOD_ORDER if args.method == "all" else (args.method,)
-    traces = []
-    for method in methods:
-        result = estimate(spectrum, method, config)
-        print(f"{method},{result.q_hat}")
-        if result.trace is not None:
-            traces.append(result.trace)
-    if args.trace:
-        if not traces:
-            raise InvalidInputError(
-                "--trace needs a sequential method (rmt, srmt or sns)")
-        with open(args.trace, "w") as handle:
-            traces[-1].to_csv(handle)
+    for method in METHOD_ORDER if args.method == "all" else (args.method,):
+        print(f"{method},{estimate(spectrum, method, config).q_hat}")
     return EXIT_OK
 
 
@@ -178,8 +167,6 @@ def build_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="estimate the signal count from a CSV")
     _add_estimate_flags(est, with_method_all=True)
-    est.add_argument("--trace", default=None,
-                     help="write the decision trace of the last sequential method here")
     est.set_defaults(func=_cmd_estimate)
 
     trace = sub.add_parser("trace", help="dump one sequential estimator's decision trace")
@@ -187,8 +174,7 @@ def build_parser() -> _Parser:
     trace.add_argument("--out", default=None, help="trace CSV path (default: stdout)")
     trace.set_defaults(func=_cmd_trace)
 
-    sweep = sub.add_parser("sweep", aliases=["simulate"],
-                           help="run a Monte Carlo sweep")
+    sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     sweep.add_argument("scenario", nargs="?", default=None,
                        help="scenario file (key=value lines)")
     sweep.add_argument("--preset", choices=PRESET_NAMES, default=None)

@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .spectral import Spectrum, _check_integer
+from .spectral import Spectrum, _check_integer, _check_real
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -120,7 +120,10 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
     fold from 0.0 in eigenvalue order at every k; builtin sum() would not
     do, since from Python 3.12 it compensates float sums.  The roots'
     arguments are checked once: every later noise iterate is positive.
+    tol and max_iter are checked here, on a memo miss only.
     """
+    _check_real("tol", tol)
+    _check_integer("max_iter", max_iter, 0)
     p, n = spectrum.p, spectrum.n
     if not 0 <= k <= spectrum.kmax:
         raise InvalidInputError(f"k must lie in 0..{spectrum.kmax}, got {k}")

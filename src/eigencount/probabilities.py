@@ -90,7 +90,8 @@ class ThresholdContext:
     What the scores read is computed once, at construction: the
     signal-search statistic (stat), theta_srmt, and the TW edge and
     threshold of each hypothesis (_edges).  The pe_* and theta_* functions
-    only read these.
+    only read these.  gamma must be spectrum.gamma, and both fits must have
+    the spectrum's (p, n).
     """
 
     k: int
@@ -104,6 +105,10 @@ class ThresholdContext:
 
     def __init__(self, k: int, fit_k: NoiseFit, fit_km1: NoiseFit, spectrum: Spectrum,
                  gamma: float, alpha: float, alpha0: float, beta: int = DEFAULT_BETA):
+        shape = (spectrum.p, spectrum.n)
+        if (gamma != spectrum.gamma or (fit_k.p, fit_k.n) != shape
+                or (fit_km1.p, fit_km1.n) != shape):
+            raise InvalidInputError("gamma and the fits must be those of the spectrum")
         if fit_k.k != k or fit_km1.k != k - 1:
             raise InvalidInputError("fits do not match the step index")
         if fit_k.lambda_hat[k - 1] <= 0.0:

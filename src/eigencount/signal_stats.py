@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateModelError, InvalidInputError
 from .noise import FLOAT_MIN, SQUARE_RANGE, NoiseFit
-from .spectral import PopulationModel, Spectrum
+from .spectral import PopulationModel, Spectrum, _check_integer
 from .tracy_widom import DEFAULT_BETA
 
 # Pairwise strength gaps below TIE_CLAMP_SCALE * max(lambda_hat, sigma2) are
@@ -128,8 +128,10 @@ def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
     Strengths closer than the interaction term's tie clamp are rejected, so
     the clamp never alters the value.
     """
+    _check_integer("j", j, 1)
+    _check_integer("n", n, 1)
     lam, sigma2, q = model.signal_strengths.tolist(), model.noise_variance, model.q
-    if not 1 <= j <= q:
+    if not j <= q:
         raise InvalidInputError(f"index must lie in 1..{q}, got {j}")
     # The strengths are sorted descending, so adjacent gaps are the smallest.
     clamp = _tie_clamp(lam[0], sigma2)
@@ -142,7 +144,13 @@ def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
 
 def decision_statistic(i: int, spectrum: Spectrum, fit: NoiseFit,
                        beta: int = DEFAULT_BETA) -> SignalStat:
-    """z = (l_i - v_i) / kappa_i - sigma2: an estimate of the i-th strength."""
+    """z = (l_i - v_i) / kappa_i - sigma2: an estimate of the i-th strength.
+
+    The fit must be one of spectrum's: its (p, n) must be the spectrum's.
+    """
+    if fit.p != spectrum.p or fit.n != spectrum.n:
+        raise InvalidInputError(f"the fit's (p, n) = ({fit.p}, {fit.n}) is not the "
+                                f"spectrum's ({spectrum.p}, {spectrum.n})")
     if not 1 <= i <= fit.k:
         raise InvalidInputError(f"fit provides {fit.k} spikes, cannot test index {i}")
     sigma2 = fit.sigma2_hat

@@ -74,7 +74,8 @@ class ScenarioSpec:
     n below 2.  So do lambdas that are not a sequence, a sigma2, gamma or
     lambda that is not a real number, a sigma2 or lambda that is not finite,
     trials that is not an integer of at least 1, a base_seed that is not a
-    non-negative integer, and a config that is not an EstimatorConfig.  A
+    non-negative integer, methods that are a string, not a sequence or name
+    an unknown method, and a config that is not an EstimatorConfig.  A
     spec missing an axis serves model(p) alone: sweep_points() raises on it.
     """
 
@@ -92,11 +93,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _check_real("sigma2", self.sigma2)
-        try:
-            len(self.lambdas)
-        except TypeError:
+        if not hasattr(self.lambdas, "__len__"):
             raise InvalidInputError(
-                f"lambdas must be a sequence of real numbers, got {self.lambdas!r}") from None
+                f"lambdas must be a sequence of real numbers, got {self.lambdas!r}")
         for value in self.lambdas:
             _check_real("every lambdas entry", value)
         if self.gamma is not None:
@@ -111,9 +110,12 @@ class ScenarioSpec:
         _check_integer("base_seed", self.base_seed, 0)
         if not isinstance(self.config, EstimatorConfig):
             raise InvalidInputError(f"config must be an EstimatorConfig, got {self.config!r}")
-        unknown = [m for m in self.methods if m not in ESTIMATORS]
+        if isinstance(self.methods, str) or not hasattr(self.methods, "__len__"):
+            raise InvalidInputError(
+                f"methods must be a sequence of method names, got {self.methods!r}")
+        unknown = [m for m in self.methods if not (isinstance(m, str) and m in ESTIMATORS)]
         if unknown:
-            raise InvalidInputError(f"unknown methods: {', '.join(unknown)}")
+            raise InvalidInputError(f"unknown methods: {', '.join(map(str, unknown))}")
         if not self.methods:
             raise InvalidInputError("need at least one method")
         p_axis, n_axis = self._axis_fields()
@@ -234,6 +236,10 @@ def generate_snapshots(model: PopulationModel, n: int,
     The matrix depends only on the stream state; _draw_spectrum takes the
     same draw.
     """
+    if not isinstance(model, PopulationModel):
+        raise InvalidInputError(f"model must be a PopulationModel, got {model!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInputError(f"rng must be a numpy Generator, got {rng!r}")
     return SnapshotMatrix(_draw_snapshots(model, n, rng))
 
 
@@ -255,8 +261,9 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     to a single point; sweeps pass each point explicitly.  The requested
     sequential scans (rmt, srmt, sns) are counted in one untraced pass,
     the information criteria by their estimators; every q_hat equals its
-    estimator's.
+    estimator's.  trial_index must be a non-negative integer.
     """
+    _check_integer("trial_index", trial_index, 0)
     if p is None or n is None:
         points = spec.sweep_points()
         if len(points) != 1:
@@ -444,9 +451,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
     Keys: preset, p, p_list, n, n_list, gamma, lambda, sigma2, trials, seed,
     methods.  '#' starts a comment; a preset line supplies defaults that the
     remaining keys override, a whole axis at a time: p or p_list replaces its
-    p axis, and n, n_list or gamma its n axis.  An n with commas is an n_list.
-    A key given twice, preset included, raises InvalidInputError naming both
-    lines.
+    p axis, and n, n_list or gamma its n axis.  A key given twice, preset
+    included, raises InvalidInputError naming both lines.
     """
     entries, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -463,10 +469,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
         entries[key], lines[key] = value, lineno
 
     spec = preset_scenario(entries.pop("preset")) if "preset" in entries else ScenarioSpec()
-    if "," in entries.get("n", ""):
-        if "n_list" in entries:
-            raise InvalidInputError("an n with commas is an n_list; give n_list once")
-        entries["n_list"] = entries.pop("n")
     # Clear each axis the file sets, so that none of the preset's survives.
     updates = {name: None for axis in _AXES if not entries.keys().isdisjoint(axis)
                for name in axis}

@@ -39,6 +39,26 @@ def _check_real(name: str, value) -> None:
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
+def _real_array(name: str, value, *ndims: int) -> np.ndarray:
+    """value as a float64 array with one of ndims dimensions (any, if none
+    are given): the one conversion of every array from outside the package.
+
+    Integer and float arrays are admitted; a ragged nesting, strings,
+    objects, bools and complex numbers raise InvalidInputError.  A float64
+    array comes back as the same object, without a copy.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a rectangular array of real numbers") from None
+    if array.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must be real numbers, got dtype {array.dtype}")
+    if ndims and array.ndim not in ndims:
+        raise InvalidInputError(
+            f"{name} must be {' or '.join(f'{d}-D' for d in ndims)}, got shape {array.shape}")
+    return array.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class SnapshotMatrix:
     """p-dimensional observations as columns of a p x n matrix."""
@@ -46,9 +66,7 @@ class SnapshotMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise InvalidInputError("snapshot data must be a 2-D matrix")
+        data = _real_array("snapshot data", self.data, 2)
         p, n = data.shape
         if p < 2 or n < 2:
             raise InvalidInputError(f"need p >= 2 and n >= 2, got shape {data.shape}")
@@ -83,8 +101,8 @@ class Spectrum:
     def __post_init__(self):
         _check_integer("p", self.p, 1)
         _check_integer("n", self.n, 1)
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if vals.ndim != 1 or vals.size != self.p:
+        vals = _real_array("eigenvalues", self.eigenvalues, 1)
+        if vals.size != self.p:
             raise InvalidInputError("eigenvalues must be a non-empty length-p vector")
         # Python ints, so that numpy integers give no numpy scalar in the scans.
         object.__setattr__(self, "p", int(self.p))
@@ -130,8 +148,8 @@ class Spectrum:
         Sorting is descending and stable, so exact ties keep their original
         relative order.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
+        values = _real_array("eigenvalues", values, 1)
+        if values.size < 1:
             raise InvalidInputError("need a 1-D vector of eigenvalues")
         order = np.argsort(-values, kind="stable")
         return cls(values[order], values.size, n)
@@ -148,14 +166,8 @@ class PopulationModel:
     def __post_init__(self):
         _check_integer("p", self.p, 1)
         _check_real("noise_variance", self.noise_variance)
-        lam = np.atleast_1d(np.asarray(self.signal_strengths))
-        if lam.dtype.kind not in "iuf":
-            raise InvalidInputError(
-                f"signal_strengths must be real numbers, got {self.signal_strengths!r}")
-        if lam.ndim != 1:
-            raise InvalidInputError(
-                f"signal_strengths must be a 1-D vector, got shape {lam.shape}")
-        lam = lam.astype(float)
+        # A copy, promoted to 1-D: the model owns its strengths.
+        lam = np.array(_real_array("signal_strengths", self.signal_strengths, 0, 1), ndmin=1)
         if lam.size >= self.p:
             raise InvalidInputError("need q < p")
         if not np.all(np.isfinite(lam)):
@@ -186,8 +198,8 @@ def sample_covariance(data: np.ndarray) -> np.ndarray:
     already is, and is then returned as it is; otherwise it is symmetrised
     as (S + S.T) / 2.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.size == 0:
+    data = _real_array("snapshot data", data, 2)
+    if data.size == 0:
         raise InvalidInputError("snapshot data must be a non-empty 2-D matrix")
     s = data @ data.T / data.shape[1]
     # A NaN or Inf anywhere in row i of data makes s_ii = sum_j x_ij^2 / n
@@ -207,8 +219,8 @@ def eig_sym_desc(matrix: np.ndarray, n: int) -> Spectrum:
     already, as sample_covariance's output is.  Slightly negative
     eigenvalues from round-off are clamped to zero.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _real_array("matrix", matrix, 2)
+    if m.shape[0] != m.shape[1]:
         raise InvalidInputError("matrix must be square")
     if not np.array_equal(m, m.T):  # a NaN entry also lands here
         scale = np.abs(m).max()
@@ -228,15 +240,3 @@ def detection_limit(sigma2: float, gamma: float) -> float:
         raise InvalidInputError("need sigma2 > 0 and gamma > 0")
     return sigma2 * math.sqrt(gamma)
 
-
-def spike_limit(lam: float, sigma2: float, gamma: float) -> float:
-    """Almost-sure limit of a spike's sample eigenvalue.
-
-    Supercritical spikes escape the bulk; subcritical ones stick to the
-    Marchenko-Pastur upper edge sigma^2 (1 + sqrt(gamma))^2.
-    """
-    if not lam > 0.0:
-        raise InvalidInputError("signal strength must be positive")
-    if lam > detection_limit(sigma2, gamma):
-        return (lam + sigma2) * (1.0 + gamma * sigma2 / lam)
-    return sigma2 * (1.0 + math.sqrt(gamma)) ** 2

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _tw_data
 from .errors import InvalidInputError
-from .spectral import _is_integer
+from .spectral import _check_real, _is_integer, _real_array
 
 # The default symmetry class: beta = 1 for real data, 2 for complex.
 DEFAULT_BETA = 1
@@ -84,19 +84,15 @@ def tw_cdf(x, beta: int = DEFAULT_BETA):
     """F_beta(x) for a scalar (returned as a float) or an array of points.
 
     Each point is evaluated on Python floats; an array argument is evaluated
-    point by point and returned as an array of its shape.  NaN and
-    non-numeric arguments are rejected.
+    point by point and returned as an array of its shape.  NaN and arguments
+    that are not real numbers (a bool or a string, say) are rejected.
     """
     _check_beta(beta)
-    if not isinstance(x, (float, int)):
-        try:
-            points = np.asarray(x, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"Tracy-Widom CDF argument is not numeric: {x!r}") from exc
-        if points.ndim == 0:
-            return tw_cdf(float(points), beta)
-        values = [tw_cdf(value, beta) for value in points.ravel().tolist()]
-        return np.array(values).reshape(points.shape)
+    if not isinstance(x, (float, int)) or isinstance(x, bool):
+        x = _real_array("Tracy-Widom CDF argument", x)
+        if x.ndim:
+            values = [tw_cdf(value, beta) for value in x.ravel().tolist()]
+            return np.array(values).reshape(x.shape)
     x = float(x)
     if x != x:
         raise InvalidInputError("Tracy-Widom CDF argument is NaN")
@@ -122,6 +118,7 @@ def tw_cdf(x, beta: int = DEFAULT_BETA):
 
 def tw_quantile(alpha: float, beta: int = DEFAULT_BETA) -> float:
     """The threshold s(alpha) with F_beta(s) = 1 - alpha, by bisection."""
+    _check_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidInputError(f"alpha must lie in (0, 1), got {alpha}")
     _check_beta(beta)

@@ -27,7 +27,9 @@ class TestEstimate:
     def test_idealised_spike_sns(self, tmp_path, capsys):
         path = tmp_path / "eigs.csv"
         values = np.full(100, 1.0)
-        values[0] = ec.spike_limit(15.0, 1.0, 0.5)
+        # The almost-sure limit (lam + sigma2) (1 + gamma sigma2 / lam) of a
+        # supercritical spike's eigenvalue: lam = 15, sigma2 = 1, gamma = 0.5.
+        values[0] = (15.0 + 1.0) * (1.0 + 0.5 * 1.0 / 15.0)
         write_eigs(path, values)
         code, out, _ = run_cli(capsys, "estimate", str(path), "--n", "200",
                                "--method", "sns")
@@ -49,16 +51,6 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, "estimate", str(path),
                                "--input-kind", "snapshots", "--method", "mdl")
         assert code == 0 and out.startswith("mdl,")
-
-    def test_trace_output(self, tmp_path, capsys):
-        path = tmp_path / "eigs.csv"
-        write_eigs(path, np.full(60, 1.0))
-        trace_path = tmp_path / "trace.csv"
-        code, _, _ = run_cli(capsys, "estimate", str(path), "--n", "120",
-                             "--method", "sns", "--trace", str(trace_path))
-        assert code == 0
-        header = trace_path.read_text().splitlines()[0]
-        assert header == ",".join(TRACE_COLUMNS)
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -155,7 +147,7 @@ class TestSweep:
         scenario = tmp_path / "scen.txt"
         scenario.write_text("p = 16\nn = 32\nlambda = 9\ntrials = 4\nseed = 2\n"
                             "methods = rmt\n")
-        code, out, _ = run_cli(capsys, "simulate", str(scenario))
+        code, out, _ = run_cli(capsys, "sweep", str(scenario))
         assert code == 0
 
     def test_mdl_concentrates_at_zero_on_noise(self, tmp_path, capsys):
@@ -208,6 +200,16 @@ class TestTraceCommand:
         assert code == 0
         assert out.splitlines()[0] == ",".join(TRACE_COLUMNS)
 
+    def test_trace_output(self, tmp_path, capsys):
+        path = tmp_path / "eigs.csv"
+        write_eigs(path, np.full(60, 1.0))
+        trace_path = tmp_path / "trace.csv"
+        code, out, _ = run_cli(capsys, "trace", str(path), "--n", "120",
+                               "--method", "sns", "--out", str(trace_path))
+        assert code == 0 and out == ""
+        header = trace_path.read_text().splitlines()[0]
+        assert header == ",".join(TRACE_COLUMNS)
+
 
 class TestUsage:
     def test_unknown_flag_exits_1(self, capsys):
@@ -221,12 +223,32 @@ class TestUsage:
             main(["frobnicate"])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("sub", ["estimate", "simulate", "sweep", "tw", "trace"])
+    @pytest.mark.parametrize("sub", ["estimate", "sweep", "tw", "trace"])
     def test_help_exits_0(self, sub, capsys):
         with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
         assert exc.value.code == 0
         assert "--" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, scenario", [
+    (["simulate", "{scenario}"], "p = 16\nn = 32\n"),  # sweep's old alias
+    (["estimate", "{eigs}", "--n", "32", "--trace", "{out}"], None),  # trace --out
+    (["sweep", "{scenario}"], "p = 16\nn = 32, 64\n"),  # a comma n for n_list
+], ids=["simulate", "estimate-trace", "comma-n"])
+def test_removed_spelling_exits_1(tmp_path, capsys, argv, scenario):
+    paths = {"scenario": tmp_path / "scen.txt", "eigs": tmp_path / "eigs.csv",
+             "out": tmp_path / "trace.csv"}
+    write_eigs(paths["eigs"], np.full(16, 1.0))
+    if scenario is not None:
+        paths["scenario"].write_text(scenario + "lambda = 9\ntrials = 2\nmethods = rmt\n")
+    argv = [arg.format(**paths) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    assert code == 1, capsys.readouterr()
+    assert not paths["out"].exists()
 
 
 def test_non_finite_eigenvalue_exits_2(tmp_path, capsys):

@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.estimators import TRACE_COLUMNS
+from eigencount.normal import normal_tail_inv
+from eigencount.signal_stats import decision_statistic
 from eigencount.simulation import generate_snapshots, trial_rng
+from eigencount.tracy_widom import centering_mu, scaling_sigma
 from tests.conftest import sampled_spectrum, spectrum_from_values
 
 
@@ -127,8 +130,11 @@ class TestInformationCriteria:
 
 
 def idealised_spike_spectrum(strength, p, n, gamma):
+    """Unit noise and one spike at its almost-sure limit
+    (lam + sigma2) (1 + gamma sigma2 / lam); strength must be supercritical."""
+    assert strength > math.sqrt(gamma)
     values = np.full(p, 1.0)
-    values[0] = ec.spike_limit(strength, 1.0, gamma)
+    values[0] = (strength + 1.0) * (1.0 + gamma * 1.0 / strength)
     return ec.Spectrum(values, p, n)
 
 
@@ -143,8 +149,8 @@ class TestRmtEstimator:
         assert result.q_hat == 1
         # hand composition of the k=1 threshold from the fitted noise level
         fit = ec.estimate_noise_and_spikes(spectrum, 1)
-        threshold = fit.sigma2_hat * (ec.centering_mu(200, 99)
-                                      + ec.tw_quantile(0.005, 1) * ec.scaling_sigma(200, 99))
+        threshold = fit.sigma2_hat * (centering_mu(200, 99)
+                                      + ec.tw_quantile(0.005, 1) * scaling_sigma(200, 99))
         assert result.trace.rows[0].theta_rmt == pytest.approx(threshold, rel=1e-9)
         assert spectrum.eigenvalues[0] > threshold
 
@@ -174,7 +180,7 @@ class TestSignalSearchEstimator:
         """For a strong spike z / delta tends to sqrt(n / 2), so z can pass
         its threshold only when n > 2 Q^{-1}(alpha0)^2, about 13.3 at
         alpha0 = 0.995, however strong the spike."""
-        bound = 2.0 * ec.normal_tail_inv(ec.EstimatorConfig().alpha0) ** 2
+        bound = 2.0 * normal_tail_inv(ec.EstimatorConfig().alpha0) ** 2
         assert 13.0 < bound < 14.0
         spectrum = spectrum_from_values(1e3 ** np.arange(p, 0, -1), n)
         expected = spectrum.kmax if n > bound else 0
@@ -620,7 +626,7 @@ class TestSharedComputation:
             values = getattr(fit, name)
             assert type(values) is tuple and len(values) == 3, name
             assert [type(value) for value in values] == [kind] * 3, name
-        stat = ec.decision_statistic(1, spectrum, fit)
+        stat = decision_statistic(1, spectrum, fit)
         row = ec.estimate(spectrum, "sns").trace.rows[0]
         for record in (fit, stat, row):
             for name in record._fields:

@@ -8,8 +8,8 @@ from eigencount.errors import InvalidInputError
 from eigencount.estimators import _scan_pass
 from eigencount.normal import norm_cdf
 from eigencount.probabilities import (ProbPair, ThresholdContext, _quotient, _z_threshold,
-                                      pe_rmt, pe_srmt)
-from eigencount.signal_stats import stat_std_dev
+                                      pe_rmt, pe_srmt, theta_rmt, theta_srmt)
+from eigencount.signal_stats import decision_statistic, stat_std_dev
 from eigencount.tracy_widom import centering_mu, scaling_sigma, tw_cdf, tw_quantile
 from tests.conftest import sampled_spectrum
 from tests.test_signal_stats import make_fit
@@ -41,40 +41,40 @@ class TestThetaRmt:
         ctx = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200)
         s = tw_quantile(0.005, 1)
         expected = ctx.fit_k.sigma2_hat * (centering_mu(200, 98) + s * scaling_sigma(200, 98))
-        assert ec.theta_rmt(ctx) == pytest.approx(expected, rel=1e-12)
+        assert theta_rmt(ctx) == pytest.approx(expected, rel=1e-12)
 
     def test_noise_assumption_uses_previous_fit(self):
         ctx = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200, sigma2_km1=1.3)
         s = tw_quantile(0.005, 1)
         expected = 1.3 * (centering_mu(200, 99) + s * scaling_sigma(200, 99))
-        assert ec.theta_rmt(ctx, assume_signal=False) == pytest.approx(expected, rel=1e-12)
+        assert theta_rmt(ctx, assume_signal=False) == pytest.approx(expected, rel=1e-12)
 
     def test_linear_in_noise_level(self):
         a = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200)
         b = synthetic_ctx([12.0, 8.0], 2.0, p=100, n=200)
-        assert ec.theta_rmt(b) == pytest.approx(2.0 * ec.theta_rmt(a), rel=1e-12)
+        assert theta_rmt(b) == pytest.approx(2.0 * theta_rmt(a), rel=1e-12)
 
 
     def test_python_floats_from_a_fit(self):
         spectrum = sampled_spectrum([8.0, 5.0], p=60, n=120, seed=1234)
         ctx = make_ctx(spectrum, 2)
-        assert type(ec.theta_rmt(ctx)) is float
-        assert type(ec.theta_rmt(ctx, assume_signal=False)) is float
+        assert type(theta_rmt(ctx)) is float
+        assert type(theta_rmt(ctx, assume_signal=False)) is float
 
 
 class TestThetaSrmt:
     def test_alpha0_half_bulk_edge(self):
         # Qinv(0.5) = 0 leaves the bulk edge (1 + sqrt(gamma)) sigma2, times kappa
         ctx = synthetic_ctx([3.0, 2.0], 1.0, p=3, n=10, alpha0=0.5)
-        assert ec.theta_srmt(ctx) == pytest.approx((1.0 + math.sqrt(0.3)) * ctx.kappa_k,
+        assert theta_srmt(ctx) == pytest.approx((1.0 + math.sqrt(0.3)) * ctx.kappa_k,
                                                    rel=1e-12)
 
     def test_hand_composition(self):
         ctx = synthetic_ctx([7.0, 5.0], 1.0, p=100, n=200)
         delta, _ = stat_std_dev(5.0, 1.0, 100, 2, 200)
         expected = (1.0 * (1.0 + math.sqrt(0.5)) + delta * 2.5758293035489004) * 1.098
-        assert ec.theta_srmt(ctx) == pytest.approx(expected, rel=1e-9)
-        assert ec.theta_srmt(ctx) == pytest.approx(3.40462, abs=1e-4)
+        assert theta_srmt(ctx) == pytest.approx(expected, rel=1e-9)
+        assert theta_srmt(ctx) == pytest.approx(3.40462, abs=1e-4)
 
     def test_equivalence_with_signal_search_test(self):
         """l_k > theta + v_k is the same event as z_k > signal threshold."""
@@ -84,9 +84,9 @@ class TestThetaSrmt:
             if not fit.converged or fit.lambda_hat[1] <= 0:
                 continue
             ctx = make_ctx(spectrum, 2)
-            stat = ec.decision_statistic(2, spectrum, fit)
+            stat = decision_statistic(2, spectrum, fit)
             z_threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta, 0.995)
-            lhs = spectrum.eigenvalues[1] - (ec.theta_srmt(ctx) + stat.v)
+            lhs = spectrum.eigenvalues[1] - (theta_srmt(ctx) + stat.v)
             rhs = stat.z - z_threshold
             assert lhs == pytest.approx(rhs * stat.kappa, rel=1e-9, abs=1e-12)
 
@@ -114,7 +114,7 @@ class TestPeRmt:
 
     def test_miss_formula_composition(self):
         ctx = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200)
-        theta = ec.theta_rmt(ctx)
+        theta = theta_rmt(ctx)
         arg = -((theta + ctx.v_k) / ctx.kappa_k
                 - (1.0 + math.sqrt(0.5)) * ctx.fit_k.sigma2_hat) / ctx.delta_k
         assert pe_rmt(ctx, with_interaction=True).p_miss == pytest.approx(
@@ -179,7 +179,7 @@ class TestPeSrmt:
 
     def test_false_alarm_composition_step1(self):
         ctx = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200)
-        theta = ec.theta_srmt(ctx)
+        theta = theta_srmt(ctx)
         expected = 1.0 - tw_cdf(((theta + ctx.v_k) / ctx.fit_k.sigma2_hat
                                  - centering_mu(200, 98)) / scaling_sigma(200, 98), 1)
         assert pe_srmt(ctx, with_interaction=True).p_false == pytest.approx(
@@ -187,7 +187,7 @@ class TestPeSrmt:
 
     def test_false_alarm_composition_step2(self):
         ctx = synthetic_ctx([6.0, 4.0], 1.0, p=100, n=200, sigma2_km1=1.2)
-        theta = ec.theta_srmt(ctx)
+        theta = theta_srmt(ctx)
         expected = 1.0 - tw_cdf((theta / 1.2 - centering_mu(200, 99))
                                 / scaling_sigma(200, 99), 1)
         assert pe_srmt(ctx, with_interaction=False,

@@ -7,8 +7,10 @@ import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.noise import NoiseFit
 from eigencount.probabilities import _z_threshold
-from eigencount.signal_stats import (TIE_CLAMP_SCALE, interaction_term, kappa_factor,
+from eigencount.signal_stats import (TIE_CLAMP_SCALE, decision_statistic,
+                                     fluctuation_params, interaction_term, kappa_factor,
                                      stat_std_dev)
+from eigencount.spectral import detection_limit
 from tests.conftest import spectrum_from_values
 
 
@@ -134,13 +136,14 @@ class TestKappaFactor:
     def test_sample_count_below_one_rejected(self, formula, n):
         """Not inf with a RuntimeWarning, a raw ZeroDivisionError or a math
         domain error, and not a number for a negative n."""
-        call = {
-            "kappa_factor": lambda: kappa_factor(3.0, 1.0, 10, 1, n),
-            "fluctuation_params": lambda: ec.fluctuation_params(3.0, 1.0, 10, n, 1),
-            "lawley_expectation": lambda: ec.lawley_expectation(
+        call, message = {
+            "kappa_factor": (lambda: kappa_factor(3.0, 1.0, 10, 1, n), "n >= 1"),
+            "fluctuation_params": (lambda: fluctuation_params(3.0, 1.0, 10, n, 1), "n >= 1"),
+            "lawley_expectation": (lambda: ec.lawley_expectation(
                 1, ec.PopulationModel(np.array([4.0]), 1.0, 100), n),
+                "n must be an integer of at least 1"),
         }[formula]
-        with pytest.raises(InvalidInputError, match="n >= 1"):
+        with pytest.raises(InvalidInputError, match=message):
             call()
 
 
@@ -172,7 +175,7 @@ class TestDecisionStatistic:
         # one spike spanning the whole space: v = 0 and kappa = 1
         fit = make_fit([5.0], 1.0, p=1, n=50)
         spectrum = ec.Spectrum(np.array([6.0]), 1, 50)
-        stat = ec.decision_statistic(1, spectrum, fit)
+        stat = decision_statistic(1, spectrum, fit)
         assert stat.z == pytest.approx(5.0, rel=1e-14)
         assert stat.v == 0.0 and stat.kappa == 1.0
 
@@ -181,7 +184,7 @@ class TestDecisionStatistic:
         fit = make_fit([5.0, 2.0], 1.0, p=51, n=100)
         values = np.array([6.5] + [2.9] + [1.0] * 49)
         spectrum = spectrum_from_values(values, 100)
-        stat = ec.decision_statistic(1, spectrum, fit)
+        stat = decision_statistic(1, spectrum, fit)
         assert stat.v == pytest.approx(0.06, abs=1e-14)
         assert stat.kappa == pytest.approx(1.098, abs=1e-14)
         assert stat.z == pytest.approx((6.5 - 0.06) / 1.098 - 1.0, rel=1e-12)
@@ -189,10 +192,10 @@ class TestDecisionStatistic:
     def test_population_round_trip_single_spike(self):
         # l set to the exact finite-sample mean makes z recover the strength
         lam, sigma2, p, n = 4.0, 1.0, 100, 200
-        tau, _ = ec.fluctuation_params(lam, sigma2, p, n, q=1)
+        tau, _ = fluctuation_params(lam, sigma2, p, n, q=1)
         fit = make_fit([lam], sigma2, p, n)
         values = np.array([tau] + [sigma2] * (p - 1))
-        stat = ec.decision_statistic(1, spectrum_from_values(values, n), fit)
+        stat = decision_statistic(1, spectrum_from_values(values, n), fit)
         assert stat.z == pytest.approx(lam, abs=1e-12)
 
     def test_population_consistency_with_interactions(self):
@@ -206,7 +209,7 @@ class TestDecisionStatistic:
             np.full(p - 3, sigma2)])
         spectrum = spectrum_from_values(values, n)
         for i, lam in enumerate(strengths, start=1):
-            stat = ec.decision_statistic(i, spectrum, fit)
+            stat = decision_statistic(i, spectrum, fit)
             assert stat.z == pytest.approx(lam, abs=1e-10)
 
     def test_monotone_in_eigenvalue(self):
@@ -214,7 +217,7 @@ class TestDecisionStatistic:
         zs = []
         for l1 in (5.0, 6.0, 7.0, 8.0):
             values = np.array([l1] + [2.9] + [1.0] * 49)
-            zs.append(ec.decision_statistic(1, spectrum_from_values(values, 100), fit).z)
+            zs.append(decision_statistic(1, spectrum_from_values(values, 100), fit).z)
         assert np.all(np.diff(zs) > 0.0)
 
 
@@ -239,8 +242,8 @@ class TestFluctuationParams:
     def test_extreme_scales(self, scale):
         """lam = sigma2 = scale: the unit-scale mean and deviation, scaled,
         not a raw OverflowError or ZeroDivisionError."""
-        unit = ec.fluctuation_params(1.0, 1.0, 100, 200, 2)
-        tau, delta = ec.fluctuation_params(scale, scale, 100, 200, 2)
+        unit = fluctuation_params(1.0, 1.0, 100, 200, 2)
+        tau, delta = fluctuation_params(scale, scale, 100, 200, 2)
         assert math.isfinite(tau) and math.isfinite(delta)
         assert tau / scale == pytest.approx(unit[0], rel=1e-12)
         assert delta / scale == pytest.approx(unit[1], rel=1e-12)
@@ -248,12 +251,12 @@ class TestFluctuationParams:
     def test_built_from_the_statistic_formulas(self):
         kappa = kappa_factor(5.0, 1.0, 100, 2, 200)
         delta, _ = stat_std_dev(5.0, 1.0, 100, 2, 200, beta=2)
-        assert ec.fluctuation_params(5.0, 1.0, 100, 200, 2, beta=2) == \
+        assert fluctuation_params(5.0, 1.0, 100, 200, 2, beta=2) == \
             ((5.0 + 1.0) * kappa, delta * kappa)
 
     def test_rejects_non_positive_noise(self):
         with pytest.raises(InvalidInputError):
-            ec.fluctuation_params(5.0, 0.0, 100, 200, 2)
+            fluctuation_params(5.0, 0.0, 100, 200, 2)
 
 
 class TestSignalThreshold:
@@ -273,4 +276,4 @@ class TestSignalThreshold:
         delta, valid = stat_std_dev(subcritical, 1.0, 100, 2, 200)
         assert not valid
         threshold = _z_threshold(1.0, 0.5, delta, 0.995)
-        assert threshold == pytest.approx(ec.detection_limit(1.0, 0.5), abs=1e-5)
+        assert threshold == pytest.approx(detection_limit(1.0, 0.5), abs=1e-5)

@@ -5,7 +5,10 @@ import pytest
 
 import eigencount as ec
 from eigencount.errors import DegenerateModelError, InvalidInputError
-from eigencount.spectral import SYMMETRY_RTOL, SnapshotMatrix, Spectrum
+from eigencount.signal_stats import fluctuation_params
+from eigencount import spectral
+from eigencount.spectral import (SYMMETRY_RTOL, SnapshotMatrix, Spectrum, _real_array,
+                                 detection_limit)
 
 
 def brute_force_covariance(data):
@@ -157,57 +160,32 @@ class TestEigSymDesc:
 
 class TestAsymptoticFormulas:
     def test_detection_limit_values(self):
-        assert ec.detection_limit(1.0, 0.25) == pytest.approx(0.5, rel=1e-14)
-        assert ec.detection_limit(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert ec.detection_limit(2.0, 0.5) == pytest.approx(2.0 * math.sqrt(0.5), rel=1e-14)
+        assert detection_limit(1.0, 0.25) == pytest.approx(0.5, rel=1e-14)
+        assert detection_limit(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert detection_limit(2.0, 0.5) == pytest.approx(2.0 * math.sqrt(0.5), rel=1e-14)
 
-    def test_spike_limit_supercritical(self):
-        assert ec.spike_limit(2.0, 1.0, 0.5) == pytest.approx(3.0 * 1.25, rel=1e-14)
-
-    def test_spike_limit_subcritical_is_bulk_edge(self):
-        assert ec.spike_limit(0.1, 1.0, 0.5) == pytest.approx(
-            (1.0 + math.sqrt(0.5)) ** 2, rel=1e-14)
-
-    def test_spike_limit_dominant_term(self):
-        lam = 1e9
-        assert ec.spike_limit(lam, 1.0, 0.5) / lam == pytest.approx(1.0, rel=1e-8)
-
-    def test_spike_limit_continuous_at_transition(self):
-        sigma2, gamma = 1.3, 0.6
-        lam = sigma2 * math.sqrt(gamma)
-        supercritical = (lam + sigma2) * (1.0 + gamma * sigma2 / lam)
-        bulk = sigma2 * (1.0 + math.sqrt(gamma)) ** 2
-        assert supercritical == pytest.approx(bulk, abs=1e-12)
-
-    @pytest.mark.parametrize("formula, args", [
-        ("spike_limit", (math.nan, 1.0, 0.5)),
-        ("spike_limit", (2.0, math.nan, 0.5)),
-        ("spike_limit", (2.0, 1.0, math.nan)),
-        ("detection_limit", (math.nan, 0.5)),
-        ("detection_limit", (1.0, math.nan)),
-    ])
-    def test_nan_rejected(self, formula, args):
-        """NaN is not taken for a subcritical strength (the bulk edge) or
-        passed through."""
+    @pytest.mark.parametrize("args", [(math.nan, 0.5), (1.0, math.nan)])
+    def test_nan_rejected(self, args):
+        """NaN is not passed through."""
         with pytest.raises(InvalidInputError):
-            getattr(ec, formula)(*args)
+            detection_limit(*args)
 
     def test_fluctuation_example(self):
-        tau, delta = ec.fluctuation_params(5.0, 1.0, p=100, n=200, q=2, beta=1)
+        tau, delta = fluctuation_params(5.0, 1.0, p=100, n=200, q=2, beta=1)
         assert tau == pytest.approx(6.0 * (1.0 + 0.49 / 5.0), rel=1e-14)
         assert delta == pytest.approx(6.0 * math.sqrt(0.01 * (1.0 - 0.49 / 25.0)), rel=1e-14)
         assert tau == pytest.approx(6.588, abs=1e-9)
 
     def test_fluctuation_no_noise_dimensions(self):
-        tau, _ = ec.fluctuation_params(3.0, 1.0, p=50, n=100, q=50, beta=1)
+        tau, _ = fluctuation_params(3.0, 1.0, p=50, n=100, q=50, beta=1)
         assert tau == pytest.approx(4.0, rel=1e-14)
 
     def test_fluctuation_boundary(self):
         threshold = math.sqrt(98.0 / 200.0)
-        _, delta = ec.fluctuation_params(threshold * (1 + 1e-8), 1.0, 100, 200, 2)
+        _, delta = fluctuation_params(threshold * (1 + 1e-8), 1.0, 100, 200, 2)
         assert 0.0 < delta < 1e-3
         with pytest.raises(InvalidInputError):
-            ec.fluctuation_params(threshold, 1.0, 100, 200, 2)
+            fluctuation_params(threshold, 1.0, 100, 200, 2)
 
     def test_lawley_single_spike(self):
         model = ec.PopulationModel(np.array([4.0]), 1.0, 100)
@@ -343,6 +321,39 @@ class TestTypes:
                                                          field):
         with pytest.raises(InvalidInputError, match=field):
             ec.PopulationModel(strengths, noise_variance, 10)
+
+
+class TestAdmission:
+    def test_float64_array_is_returned_as_the_same_object(self):
+        data = np.ones((3, 4))
+        assert _real_array("data", data, 2) is data
+        assert SnapshotMatrix(data).data is data
+        for other in (data.astype(np.float32), data.astype(int), data.tolist()):
+            admitted = _real_array("data", other, 2)
+            assert admitted.dtype == np.float64 and np.array_equal(admitted, data)
+
+    def test_dimensions(self):
+        assert _real_array("x", [[1, 2]]).shape == (1, 2)
+        assert _real_array("x", 3, 0, 1).shape == ()
+        with pytest.raises(InvalidInputError, match="x must be 0-D or 1-D, got shape"):
+            _real_array("x", [[1.0]], 0, 1)
+
+    def test_every_array_input_goes_through_it(self, monkeypatch):
+        admitted = []
+
+        def spy(name, value, *ndims):
+            admitted.append(name)
+            return _real_array(name, value, *ndims)
+
+        monkeypatch.setattr(spectral, "_real_array", spy)
+        data = np.ones((2, 3))
+        SnapshotMatrix(data)
+        ec.eig_sym_desc(ec.sample_covariance(data), 3)
+        Spectrum.from_values([1.0, 2.0], 3)
+        ec.PopulationModel(3.0, 1.0, 2)
+        assert admitted == ["snapshot data", "snapshot data", "matrix", "eigenvalues",
+                            "eigenvalues", "eigenvalues", "signal_strengths"]
+        assert ec.PopulationModel(3.0, 1.0, 2).signal_strengths.shape == (1,)
 
 
 class TestSpectrumContract:

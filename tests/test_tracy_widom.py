@@ -17,7 +17,7 @@ from eigencount import _tw_data, tracy_widom
 from eigencount.errors import InvalidInputError
 from eigencount.spectral import PopulationModel, eig_sym_desc, sample_covariance
 from eigencount.simulation import generate_snapshots, trial_rng
-from eigencount.tracy_widom import _edge_constants
+from eigencount.tracy_widom import _edge_constants, centering_mu, scaling_sigma
 
 # Oracle quantiles F_beta(s) = 1 - alpha.
 QUANTILE_ORACLE = {
@@ -115,39 +115,39 @@ class TestEdgeConstants:
     def test_centering_example(self):
         # direct evaluation of the centering formula
         expected = (math.sqrt(199.5) + math.sqrt(99.5)) ** 2 / 200.0
-        assert ec.centering_mu(200, 100) == pytest.approx(expected, rel=1e-14)
-        assert ec.centering_mu(200, 100) == pytest.approx(2.90391, abs=1e-5)
+        assert centering_mu(200, 100) == pytest.approx(expected, rel=1e-14)
+        assert centering_mu(200, 100) == pytest.approx(2.90391, abs=1e-5)
 
     def test_centering_degenerate_point(self):
-        assert ec.centering_mu(1, 1) == pytest.approx(2.0, rel=1e-12)
+        assert centering_mu(1, 1) == pytest.approx(2.0, rel=1e-12)
 
     def test_centering_square_limit(self):
-        assert ec.centering_mu(10_000, 10_000) == pytest.approx(4.0, abs=0.01)
+        assert centering_mu(10_000, 10_000) == pytest.approx(4.0, abs=0.01)
 
     def test_scaling_example(self):
-        mu = ec.centering_mu(200, 100)
+        mu = centering_mu(200, 100)
         expected = math.sqrt(mu / 200.0) * (1 / math.sqrt(199.5) + 1 / math.sqrt(99.5)) ** (1 / 3)
-        assert ec.scaling_sigma(200, 100) == pytest.approx(expected, rel=1e-14)
-        assert ec.scaling_sigma(200, 100) == pytest.approx(0.066893, abs=1e-4)
+        assert scaling_sigma(200, 100) == pytest.approx(expected, rel=1e-14)
+        assert scaling_sigma(200, 100) == pytest.approx(0.066893, abs=1e-4)
 
     def test_scaling_positive_and_decreasing_in_n(self):
-        values = [ec.scaling_sigma(n, 100) for n in (100, 200, 400)]
+        values = [scaling_sigma(n, 100) for n in (100, 200, 400)]
         assert all(v > 0.0 for v in values)
         assert values[0] > values[1] > values[2]
 
     def test_input_validation(self):
         with pytest.raises(InvalidInputError):
-            ec.centering_mu(0, 5)
+            centering_mu(0, 5)
         with pytest.raises(InvalidInputError):
-            ec.scaling_sigma(5, 0)
+            scaling_sigma(5, 0)
         with pytest.raises(InvalidInputError):
             _edge_constants(5, 0)
 
     def test_cached_constants_equal_the_formulas(self):
         for n in (1, 2, 3, 10, 39, 120, 400, 10_000):
             for p in (1, 2, 5, 19, 59, 60, 399, 800):
-                assert _edge_constants(n, p) == (ec.centering_mu(n, p),
-                                                 ec.scaling_sigma(n, p))
+                assert _edge_constants(n, p) == (centering_mu(n, p),
+                                                 scaling_sigma(n, p))
 
 
 class TestTableValidation:
@@ -188,7 +188,7 @@ def test_monte_carlo_edge_law():
     rate near 0.05 (wide band for finite-size effects)."""
     p, n, trials = 100, 200, 3000
     model = PopulationModel(np.array([]), 1.0, p)
-    threshold = ec.centering_mu(n, p) + ec.tw_quantile(0.05, 1) * ec.scaling_sigma(n, p)
+    threshold = centering_mu(n, p) + ec.tw_quantile(0.05, 1) * scaling_sigma(n, p)
     exceed = 0
     for t in range(trials):
         snap = generate_snapshots(model, n, trial_rng(905, t))
@@ -272,6 +272,7 @@ class TestScalarCdfPath:
 
     def test_integer_argument(self):
         assert ec.tw_cdf(0) == ec.tw_cdf(np.array([0.0]))[0]
+        assert ec.tw_cdf(10**30) == 1.0  # beyond int64, so not through numpy
 
     @pytest.mark.parametrize("bad", ("a", ["a", 0.0], {"x": 0.0}))
     def test_non_numeric_rejected(self, bad):

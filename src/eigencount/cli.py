@@ -104,6 +104,8 @@ def _cmd_trace(args) -> int:
 
 
 def _scenario_from(args) -> ScenarioSpec:
+    if args.scenario and (args.preset or args.full_scale):
+        raise InvalidInputError("a scenario file takes neither --preset nor --full-scale")
     if args.preset:
         spec = preset_scenario(args.preset, full_scale=args.full_scale)
     elif args.scenario:

@@ -21,7 +21,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -30,46 +30,36 @@ from .noise import DEFAULT_MAX_ITER, DEFAULT_TOL, NoiseFit, estimate_noise_and_s
 from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
                             pe_rmt, pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import SignalStat, decision_statistic
-from .spectral import Spectrum, _check_integer, _check_real
+from .spectral import Spectrum, _check_real
 from .tracy_widom import DEFAULT_BETA, _check_beta
 
 LOG_CLAMP = -700.0
+# The modified AIC's C: its penalty is C times AIC's.
+MAIC_C = 2.0
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Shared knobs for every estimator."""
+    """The test levels and symmetry class of every estimator; solver_tol and
+    solver_max_iter are the noise fit's fixed settings, to read, not set."""
 
     alpha: float = 0.005
     alpha0: float = 0.995
     beta: int = DEFAULT_BETA
-    solver_tol: float = DEFAULT_TOL
-    solver_max_iter: int = DEFAULT_MAX_ITER
-    modified_aic_c: float = 2.0
-    # Off by default: halves the eigenstructure parameter count in the
-    # information criteria, the real-data degrees-of-freedom convention.
-    real_dof: bool = False
+    solver_tol: ClassVar[float] = DEFAULT_TOL
+    solver_max_iter: ClassVar[int] = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        for name in ("alpha", "alpha0", "solver_tol", "modified_aic_c"):
+        for name in ("alpha", "alpha0"):
             _check_real(name, getattr(self, name))
         if not 0.0 < self.alpha < 1.0:
             raise InvalidInputError("alpha must lie in (0, 1)")
         if not 0.5 < self.alpha0 < 1.0:
             raise InvalidInputError("alpha0 must lie in (0.5, 1)")
         _check_beta(self.beta)
-        if not 0.0 < self.solver_tol < math.inf:
-            raise InvalidInputError(f"solver_tol must be positive and finite, got {self.solver_tol}")
-        _check_integer("solver_max_iter", self.solver_max_iter, 1)
-        if not 0.0 < self.modified_aic_c < math.inf:
-            raise InvalidInputError(
-                f"modified_aic_c must be positive and finite, got {self.modified_aic_c}")
-        if not isinstance(self.real_dof, (bool, np.bool_)):
-            raise InvalidInputError(f"real_dof must be a bool, got {self.real_dof!r}")
         # Python numbers, so that a numpy scalar given here reaches no scan value.
-        for name in ("alpha", "alpha0", "solver_tol", "modified_aic_c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "beta", int(self.beta))
+        self.__dict__.update(alpha=float(self.alpha), alpha0=float(self.alpha0),
+                             beta=int(self.beta))
 
 
 class TraceRow(NamedTuple):
@@ -188,8 +178,11 @@ def _compute_likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
     return terms, degenerate
 
 
-def _resolve_config(config: EstimatorConfig | None) -> EstimatorConfig:
-    """config, or the default EstimatorConfig for None; any other value raises."""
+def _admit(spectrum: Spectrum, config: EstimatorConfig | None) -> EstimatorConfig:
+    """config, or the default EstimatorConfig for None, for an estimator run
+    on spectrum; a spectrum that is not a Spectrum or any other config raises."""
+    if not isinstance(spectrum, Spectrum):
+        raise InvalidInputError(f"spectrum must be a Spectrum, got {type(spectrum).__name__}")
     if config is None:
         return EstimatorConfig()
     if not isinstance(config, EstimatorConfig):
@@ -199,23 +192,21 @@ def _resolve_config(config: EstimatorConfig | None) -> EstimatorConfig:
 
 def _information_criterion(spectrum: Spectrum, config: EstimatorConfig | None,
                            method: str) -> ModelOrderEstimate:
-    """q_hat = argmin over k of factor * likelihood term + coefficient * dof.
+    """q_hat = argmin over k of factor * likelihood term + coefficient * k (2p - k).
 
     (factor, coefficient) is (2, 2) for aic, (1, ln(n) / 2) for mdl and
-    (2, 2 c) for maic, with c = config.modified_aic_c.
+    (2, 2 MAIC_C) for maic.  config is admitted, though no criterion reads it.
     """
-    config = _resolve_config(config)
+    _admit(spectrum, config)
     if method == "aic":
         factor, coefficient = 2.0, 2.0
     elif method == "mdl":
         factor, coefficient = 1.0, 0.5 * math.log(spectrum.n)
     else:
-        factor, coefficient = 2.0, 2.0 * config.modified_aic_c
+        factor, coefficient = 2.0, 2.0 * MAIC_C
     terms, degenerate = _likelihood_terms(spectrum)
     k = np.arange(terms.size)
-    dof = k * (2 * spectrum.p - k)
-    dof = dof / 2.0 if config.real_dof else dof.astype(float)
-    scores = factor * terms + coefficient * dof
+    scores = factor * terms + coefficient * (k * (2 * spectrum.p - k))
     return ModelOrderEstimate(q_hat=int(np.argmin(scores)), method=method,
                               degenerate=degenerate)
 
@@ -232,7 +223,7 @@ def estimate_mdl(spectrum: Spectrum, config: EstimatorConfig | None = None) -> M
 
 def estimate_modified_aic(spectrum: Spectrum,
                           config: EstimatorConfig | None = None) -> ModelOrderEstimate:
-    """AIC with its penalty scaled by config.modified_aic_c."""
+    """AIC with its penalty scaled by MAIC_C."""
     return _information_criterion(spectrum, config, "maic")
 
 
@@ -258,8 +249,7 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     k = fit.k
     if fit.lambda_hat[k - 1] <= 0.0:
         return "rmt", {"degenerate": True}, None
-    fit_km1 = estimate_noise_and_spikes(spectrum, k - 1, config.solver_tol,
-                                        config.solver_max_iter)
+    fit_km1 = estimate_noise_and_spikes(spectrum, k - 1)
     ctx = ThresholdContext(k=k, fit_k=fit, fit_km1=fit_km1, spectrum=spectrum,
                            gamma=spectrum.gamma, alpha=config.alpha,
                            alpha0=config.alpha0, beta=config.beta)
@@ -341,8 +331,7 @@ def _scan_pass(spectrum: Spectrum, config: EstimatorConfig, methods,
     for k in range(1, spectrum.kmax + 1):
         if not running:
             break
-        fit = estimate_noise_and_spikes(spectrum, k, config.solver_tol,
-                                        config.solver_max_iter)
+        fit = estimate_noise_and_spikes(spectrum, k)
         l_k = values[k - 1]
         sns = "sns" in running
         stat = None
@@ -389,7 +378,7 @@ def _traced_scan(spectrum: Spectrum, config: EstimatorConfig | None,
     when the signal-search test rejects a non-positive strength outright.
     """
     trace = DecisionTrace(method=method)
-    q_hat = _scan_pass(spectrum, _resolve_config(config), (method,), trace)[method]
+    q_hat = _scan_pass(spectrum, _admit(spectrum, config), (method,), trace)[method]
     return ModelOrderEstimate(q_hat=q_hat, method=method, trace=trace,
                               degenerate=any(r.degenerate for r in trace.rows))
 

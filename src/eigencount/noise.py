@@ -104,10 +104,14 @@ def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
     converged=False rather than raising, so estimator scans degrade
     gracefully.
 
-    The fit is memoised on the spectrum per (k, tol, max_iter), so every
-    estimator scanning the same spectrum shares one solve per k.
+    The fit is memoised on the spectrum per (k, tol, max_iter), which are
+    checked first; every estimator scanning the spectrum shares one solve per k.
     """
+    if not isinstance(spectrum, Spectrum):
+        raise InvalidInputError(f"spectrum must be a Spectrum, got {type(spectrum).__name__}")
     _check_integer("k", k, 0)
+    _check_real("tol", tol)
+    _check_integer("max_iter", max_iter, 0)
     return spectrum._memoised(("noise_fit", k, tol, max_iter),
                               lambda: _fixed_point(spectrum, k, tol, max_iter))
 
@@ -120,10 +124,7 @@ def _fixed_point(spectrum: Spectrum, k: int, tol: float, max_iter: int) -> Noise
     fold from 0.0 in eigenvalue order at every k; builtin sum() would not
     do, since from Python 3.12 it compensates float sums.  The roots'
     arguments are checked once: every later noise iterate is positive.
-    tol and max_iter are checked here, on a memo miss only.
     """
-    _check_real("tol", tol)
-    _check_integer("max_iter", max_iter, 0)
     p, n = spectrum.p, spectrum.n
     if not 0 <= k <= spectrum.kmax:
         raise InvalidInputError(f"k must lie in 0..{spectrum.kmax}, got {k}")

@@ -128,6 +128,8 @@ def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
     Strengths closer than the interaction term's tie clamp are rejected, so
     the clamp never alters the value.
     """
+    if not isinstance(model, PopulationModel):
+        raise InvalidInputError(f"model must be a PopulationModel, got {type(model).__name__}")
     _check_integer("j", j, 1)
     _check_integer("n", n, 1)
     lam, sigma2, q = model.signal_strengths.tolist(), model.noise_variance, model.q

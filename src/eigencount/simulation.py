@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimators import (METHOD_ORDER, ESTIMATORS, EstimatorConfig, _resolve_config,
-                         _scan_pass)
+from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig, _scan_pass
 from .normal import _erfc_array, norm_ppf_array
 from .spectral import (PopulationModel, SnapshotMatrix, Spectrum, _check_integer,
                        _check_real, _is_integer, eig_sym_desc, sample_covariance)
@@ -263,6 +262,8 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     the information criteria by their estimators; every q_hat equals its
     estimator's.  trial_index must be a non-negative integer.
     """
+    if not isinstance(spec, ScenarioSpec):
+        raise InvalidInputError(f"spec must be a ScenarioSpec, got {type(spec).__name__}")
     _check_integer("trial_index", trial_index, 0)
     if p is None or n is None:
         points = spec.sweep_points()
@@ -373,6 +374,8 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     Aggregation is a commutative count merge, so the result is identical
     for any execution order and any number of processes.
     """
+    if not isinstance(spec, ScenarioSpec):
+        raise InvalidInputError(f"spec must be a ScenarioSpec, got {type(spec).__name__}")
     _check_integer("jobs", jobs, 1)
     points = spec.sweep_points()
     total = len(points) * spec.trials
@@ -400,19 +403,16 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
 
 
 def preset_scenario(name: str, trials: int | None = None, base_seed: int = 0,
-                    methods: tuple[str, ...] = METHOD_ORDER,
-                    full_scale: bool = False,
-                    config: EstimatorConfig | None = None) -> ScenarioSpec:
-    """Build a ScenarioSpec for one of the named benchmark figures."""
+                    full_scale: bool = False) -> ScenarioSpec:
+    """Build a ScenarioSpec for one of the named benchmark figures, counting
+    every method under the default config; replace() sets methods or config."""
     if name not in _PRESETS:
         raise InvalidInputError(
             f"unknown preset {name!r}; expected one of {', '.join(PRESET_NAMES)}")
     preset = _PRESETS[name]
     if trials is None:
         trials = FULL_TRIALS if full_scale else DESK_TRIALS
-    kwargs = dict(lambdas=preset["lambda"], trials=trials,
-                  base_seed=base_seed, methods=methods,
-                  config=_resolve_config(config))
+    kwargs = dict(lambdas=preset["lambda"], trials=trials, base_seed=base_seed)
     if "gamma" in preset:
         default = _FULL_P_GRID if full_scale else preset.get("desk_grid", _DESK_P_GRID)
         kwargs.update(gamma=preset["gamma"], p_list=tuple(default))

@@ -84,8 +84,9 @@ def tw_cdf(x, beta: int = DEFAULT_BETA):
     """F_beta(x) for a scalar (returned as a float) or an array of points.
 
     Each point is evaluated on Python floats; an array argument is evaluated
-    point by point and returned as an array of its shape.  NaN and arguments
-    that are not real numbers (a bool or a string, say) are rejected.
+    point by point and returned as an array of its shape; beyond the table,
+    even beyond the float range, it is 0.0 or 1.0.  NaN and arguments that
+    are not real numbers (a bool or a string, say) are rejected.
     """
     _check_beta(beta)
     if not isinstance(x, (float, int)) or isinstance(x, bool):
@@ -93,14 +94,16 @@ def tw_cdf(x, beta: int = DEFAULT_BETA):
         if x.ndim:
             values = [tw_cdf(value, beta) for value in x.ravel().tolist()]
             return np.array(values).reshape(x.shape)
-    x = float(x)
     if x != x:
         raise InvalidInputError("Tracy-Widom CDF argument is NaN")
+    # Compared before float(x): Python compares an int with a float exactly,
+    # so an integer beyond the float range saturates instead of overflowing.
     grid, cdf, slopes = _LISTS[beta]
     if x <= grid[0]:
         return 0.0
     if x >= grid[-1]:
         return 1.0
+    x = float(x)
     i = bisect_right(grid, x) - 1
     h = grid[i + 1] - grid[i]
     t = (x - grid[i]) / h

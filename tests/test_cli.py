@@ -235,7 +235,12 @@ class TestUsage:
     (["simulate", "{scenario}"], "p = 16\nn = 32\n"),  # sweep's old alias
     (["estimate", "{eigs}", "--n", "32", "--trace", "{out}"], None),  # trace --out
     (["sweep", "{scenario}"], "p = 16\nn = 32, 64\n"),  # a comma n for n_list
-], ids=["simulate", "estimate-trace", "comma-n"])
+    # A sweep input that would be dropped: the file beside --preset, and
+    # --full-scale, which only a preset reads.
+    (["sweep", "{scenario}", "--preset", "fig1", "--trials", "2"], "p = 20\nn = 40\n"),
+    (["sweep", "{scenario}", "--full-scale"], "p = 16\nn = 32\n"),
+], ids=["simulate", "estimate-trace", "comma-n", "sweep-file-and-preset",
+        "sweep-file-full-scale"])
 def test_removed_spelling_exits_1(tmp_path, capsys, argv, scenario):
     paths = {"scenario": tmp_path / "scen.txt", "eigs": tmp_path / "eigs.csv",
              "out": tmp_path / "trace.csv"}

@@ -14,6 +14,7 @@ import pytest
 
 import eigencount as ec
 from eigencount.estimators import ESTIMATORS, METHOD_ORDER
+from eigencount.noise import DEFAULT_MAX_ITER, DEFAULT_TOL
 from eigencount.probabilities import ProbPair, ThresholdContext
 from eigencount.signal_stats import decision_statistic
 from eigencount.simulation import trial_rng
@@ -51,6 +52,18 @@ def test_public_names_are_pinned():
 
 def test_prob_pair_fields():
     assert [f.name for f in dataclasses.fields(ProbPair)] == ["p_miss", "p_false"]
+
+
+def test_settings_a_caller_sets():
+    """EstimatorConfig sets the test levels and the symmetry class alone;
+    the noise fit's settings are constants it only reads out.  A preset
+    takes its trial budget, seed and scale; methods and config are set
+    with dataclasses.replace."""
+    assert [f.name for f in dataclasses.fields(ec.EstimatorConfig)] == ["alpha", "alpha0", "beta"]
+    config = ec.EstimatorConfig()
+    assert (config.solver_tol, config.solver_max_iter) == (DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert list(inspect.signature(ec.preset_scenario).parameters) == [
+        "name", "trials", "base_seed", "full_scale"]
 
 
 def eigencount_uses(path: Path):
@@ -189,10 +202,24 @@ _ARRAY_CASES = [
                  id="lawley_expectation-float-j"),
     pytest.param(lambda: ec.lawley_expectation(1, _MODEL, "40"), "n must be an integer",
                  id="lawley_expectation-string-n"),
+    pytest.param(lambda: ec.lawley_expectation(1, None, 40), "model",
+                 id="lawley_expectation-no-model"),
     pytest.param(lambda: ec.estimate_noise_and_spikes(_two_spike_fits(22, 200)[0], 1, "x"),
                  "tol", id="estimate_noise_and_spikes-string-tol"),
+    # Settings that cannot key the fit's memo are rejected before it is read.
+    pytest.param(lambda: ec.estimate_noise_and_spikes(_two_spike_fits(22, 200)[0], 1, [1e-8]),
+                 "tol", id="estimate_noise_and_spikes-list-tol"),
+    pytest.param(lambda: ec.estimate_noise_and_spikes(_two_spike_fits(22, 200)[0], 1, 1e-8,
+                                                      [3]),
+                 "max_iter", id="estimate_noise_and_spikes-list-max_iter"),
+    pytest.param(lambda: ec.estimate_noise_and_spikes(None, 1), "spectrum",
+                 id="estimate_noise_and_spikes-no-spectrum"),
+    pytest.param(lambda: ec.estimate(None, "rmt"), "spectrum", id="estimate-no-spectrum"),
+    pytest.param(lambda: ec.estimate_aic(None), "spectrum", id="estimate_aic-no-spectrum"),
     pytest.param(lambda: ec.run_trial(_SPEC, 1.5), "trial_index", id="run_trial-float"),
     pytest.param(lambda: ec.run_trial(_SPEC, -1), "trial_index", id="run_trial-negative"),
+    pytest.param(lambda: ec.run_trial(None, 0), "spec", id="run_trial-no-spec"),
+    pytest.param(lambda: ec.run_sweep(None), "spec", id="run_sweep-no-spec"),
     pytest.param(lambda: ec.generate_snapshots(_MODEL, 10, None), "rng",
                  id="generate_snapshots-no-rng"),
     pytest.param(lambda: ec.generate_snapshots(None, 10, trial_rng(0, 0)), "model",

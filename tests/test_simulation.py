@@ -341,14 +341,14 @@ class TestPresets:
         measured over 6000 trials), so the 0.02 budget is asserted from
         p = 40 up and a wider band at the smallest size.
         """
-        spec = preset_scenario("fig1", trials=1000, base_seed=1, methods=("rmt",))
+        spec = replace(preset_scenario("fig1", trials=1000, base_seed=1), methods=("rmt",))
         for row in run_sweep(spec, jobs=2).rows:
             assert row.p_over <= (0.04 if row.sweep_value == 20 else 0.02)
 
     def test_fig4_weak_signal_improvement(self):
         """The adaptive estimator beats the TW test at the smallest size."""
-        spec = preset_scenario("fig4", trials=500, base_seed=11,
-                               methods=("rmt", "sns"))
+        spec = replace(preset_scenario("fig4", trials=500, base_seed=11),
+                       methods=("rmt", "sns"))
         result = run_sweep(spec, jobs=2)
         smallest = spec.p_list[0]
         assert result.row(smallest, "sns").p_e < result.row(smallest, "rmt").p_e
@@ -356,8 +356,8 @@ class TestPresets:
     def test_fig11_adaptive_dominates_pointwise(self):
         """Mixed strong/weak spikes over a sample-size sweep: the adaptive
         estimator is never worse than the TW test beyond trial noise."""
-        spec = preset_scenario("fig11", trials=400, base_seed=111,
-                               methods=("rmt", "sns"))
+        spec = replace(preset_scenario("fig11", trials=400, base_seed=111),
+                       methods=("rmt", "sns"))
         result = run_sweep(spec, jobs=2)
         for n in spec.n_list:
             assert result.row(n, "sns").p_e <= result.row(n, "rmt").p_e + 0.02

@@ -273,6 +273,9 @@ class TestScalarCdfPath:
     def test_integer_argument(self):
         assert ec.tw_cdf(0) == ec.tw_cdf(np.array([0.0]))[0]
         assert ec.tw_cdf(10**30) == 1.0  # beyond int64, so not through numpy
+        # Beyond the float range too: the CDF saturates, as outside its table.
+        for beta in (1, 2):
+            assert (ec.tw_cdf(10**400, beta), ec.tw_cdf(-10**400, beta)) == (1.0, 0.0)
 
     @pytest.mark.parametrize("bad", ("a", ["a", 0.0], {"x": 0.0}))
     def test_non_numeric_rejected(self, bad):

@@ -105,12 +105,15 @@ def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
     gracefully.
 
     The fit is memoised on the spectrum per (k, tol, max_iter), which are
-    checked first; every estimator scanning the spectrum shares one solve per k.
+    checked first (tol must be positive and finite); every estimator
+    scanning the spectrum shares one solve per k.
     """
     if not isinstance(spectrum, Spectrum):
         raise InvalidInputError(f"spectrum must be a Spectrum, got {type(spectrum).__name__}")
     _check_integer("k", k, 0)
     _check_real("tol", tol)
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError(f"tol must be positive and finite, got {tol}")
     _check_integer("max_iter", max_iter, 0)
     return spectrum._memoised(("noise_fit", k, tol, max_iter),
                               lambda: _fixed_point(spectrum, k, tol, max_iter))

@@ -73,8 +73,8 @@ class ScenarioSpec:
     n below 2.  So do lambdas that are not a sequence, a sigma2, gamma or
     lambda that is not a real number, a sigma2 or lambda that is not finite,
     trials that is not an integer of at least 1, a base_seed that is not a
-    non-negative integer, methods that are a string, not a sequence or name
-    an unknown method, and a config that is not an EstimatorConfig.  A
+    non-negative integer, methods that are a string, not a sequence, name
+    an unknown method or repeat one, and a config that is not an EstimatorConfig.  A
     spec missing an axis serves model(p) alone: sweep_points() raises on it.
     """
 
@@ -117,6 +117,9 @@ class ScenarioSpec:
             raise InvalidInputError(f"unknown methods: {', '.join(map(str, unknown))}")
         if not self.methods:
             raise InvalidInputError("need at least one method")
+        repeated = [m for m, count in Counter(self.methods).items() if count > 1]
+        if repeated:
+            raise InvalidInputError(f"method {repeated[0]!r} is listed more than once")
         p_axis, n_axis = self._axis_fields()
         if len(p_axis) > 1 or len(n_axis) > 1 or {"p_list", "n_list"} <= {*p_axis, *n_axis}:
             raise InvalidInputError(f"conflicting geometry fields: {', '.join(p_axis + n_axis)}")
@@ -256,8 +259,9 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
               p: int | None = None, n: int | None = None) -> dict[str, int]:
     """One paired trial: one draw, one spectrum, every estimator on it.
 
-    p and n default to the scenario's own geometry, which must then resolve
-    to a single point; sweeps pass each point explicitly.  The requested
+    p and n are passed together or not at all; left out, they default to
+    the scenario's own geometry, which must then resolve to a single point.
+    Sweeps pass each point explicitly.  The requested
     sequential scans (rmt, srmt, sns) are counted in one untraced pass,
     the information criteria by their estimators; every q_hat equals its
     estimator's.  trial_index must be a non-negative integer.
@@ -265,7 +269,9 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     if not isinstance(spec, ScenarioSpec):
         raise InvalidInputError(f"spec must be a ScenarioSpec, got {type(spec).__name__}")
     _check_integer("trial_index", trial_index, 0)
-    if p is None or n is None:
+    if (p is None) != (n is None):
+        raise InvalidInputError(f"pass p and n together or neither, got p={p}, n={n}")
+    if p is None:
         points = spec.sweep_points()
         if len(points) != 1:
             raise InvalidInputError("sweep scenarios must pass (p, n) explicitly")

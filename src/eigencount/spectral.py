@@ -219,13 +219,16 @@ def eig_sym_desc(matrix: np.ndarray, n: int) -> Spectrum:
 
     The input must be symmetric to within SYMMETRY_RTOL (relative, max-norm);
     it is symmetrised before decomposition unless it is exactly symmetric
-    already, as sample_covariance's output is.  Slightly negative
+    already, as sample_covariance's output is; a NaN entry raises
+    InvalidInputError.  Slightly negative
     eigenvalues from round-off are clamped to zero.
     """
     m = _real_array("matrix", matrix, 2)
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError("matrix must be square")
-    if not np.array_equal(m, m.T):  # a NaN entry also lands here
+    if not np.array_equal(m, m.T):  # as any matrix with a NaN entry does
+        if not np.isfinite(m).all():
+            raise InvalidInputError("matrix contains non-finite entries")
         scale = np.abs(m).max()
         if scale > 0.0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise InvalidInputError("matrix is not symmetric within tolerance")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit that argparse's
+    usage errors raise."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestEstimate:
@@ -58,6 +69,38 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", str(path), "--n", "10")
         assert code == 2 and "bad.csv" in err
 
+    def test_two_values_on_a_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("9.0 4.0\n1.0 1.0\n")
+        code, _, err = run_cli(capsys, "estimate", str(path), "--n", "10")
+        assert code == 2 and "wide.csv" in err and "one eigenvalue per line" in err
+
+    @pytest.mark.parametrize("text, flags", [
+        ("", ["--n", "10"]),
+        ("# eigenvalues\n\n   # none yet\n", ["--n", "10"]),
+        ("# snapshots\n", ["--input-kind", "snapshots"])],
+        ids=["empty", "comments-only", "snapshots-comments-only"])
+    def test_file_without_values_exits_2_quietly(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "estimate", str(path), *flags)
+        assert code == 2
+        assert err == f"eigencount: data error: no values found in {path}\n"
+        assert not caught  # numpy's own "no data" warning stays off stderr
+
+    def test_inline_comment_is_skipped(self, tmp_path, capsys):
+        values = np.full(100, 1.0)
+        values[0] = (15.0 + 1.0) * (1.0 + 0.5 * 1.0 / 15.0)
+        plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+        write_eigs(plain, values)
+        commented.write_text("# lam = 15 spike, n = 200\n"
+                             + "".join(f"{v:.12g}  # eigenvalue {i}\n" for i, v in enumerate(values)))
+        outputs = [run_cli(capsys, "estimate", str(path), "--n", "200")
+                   for path in (plain, commented)]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     @pytest.mark.parametrize("sub", ["estimate", "trace"])
     def test_level_defaults_are_the_config_defaults(self, sub):
         args = build_parser().parse_args([sub, "eigs.csv"])
@@ -92,10 +135,8 @@ class TestTw:
         assert code == 1
 
     def test_requires_exactly_one_query(self, capsys):
-        code, _, _ = run_cli(capsys, "tw")
-        assert code == 1
-        code, _, _ = run_cli(capsys, "tw", "--alpha", "0.1", "--x", "1.0")
-        assert code == 1
+        assert exit_code(["tw"]) == 1
+        assert exit_code(["tw", "--alpha", "0.1", "--x", "1.0"]) == 1
 
 
 class TestSweep:
@@ -182,8 +223,7 @@ class TestSweep:
         assert code == 1 and message in err
 
     def test_missing_scenario_exits_1(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep")
-        assert code == 1
+        assert exit_code(["sweep"]) == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_exits_1(self, jobs, capsys):
@@ -247,13 +287,31 @@ def test_removed_spelling_exits_1(tmp_path, capsys, argv, scenario):
     write_eigs(paths["eigs"], np.full(16, 1.0))
     if scenario is not None:
         paths["scenario"].write_text(scenario + "lambda = 9\ntrials = 2\nmethods = rmt\n")
-    argv = [arg.format(**paths) for arg in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
-    assert code == 1, capsys.readouterr()
+    assert exit_code([arg.format(**paths) for arg in argv]) == 1, capsys.readouterr()
     assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{eigs}", "--n", "0"],
+    ["estimate", "{snaps}", "--input-kind", "snapshots", "--n", "5"],
+    ["trace", "{eigs}", "--n", "32", "--method", "aic"],
+    ["tw"],
+    ["tw", "--alpha", "0.1", "--x", "1.0"],
+    ["sweep"],
+    ["sweep", "{scenario}", "--preset", "fig1"],
+    ["sweep", "--preset", "fig1", "--trials", "2", "--methods", "rmt,rmt"],
+], ids=["n-zero", "n-beside-snapshots", "trace-aic", "tw-no-query", "tw-both-queries",
+        "sweep-no-source", "sweep-both-sources", "sweep-repeated-method"])
+def test_usage_rule_exits_1(tmp_path, capsys, argv):
+    """Each flag combination the CLI refuses is a usage error, raised by the
+    parser or before any input file is read."""
+    paths = {"eigs": tmp_path / "eigs.csv", "snaps": tmp_path / "snaps.csv",
+             "scenario": tmp_path / "scen.txt"}
+    write_eigs(paths["eigs"], np.full(16, 1.0))
+    np.savetxt(paths["snaps"], np.random.RandomState(0).randn(4, 12), delimiter=",")
+    paths["scenario"].write_text("p = 20\nn = 40\ntrials = 2\nmethods = rmt\n")
+    assert exit_code([arg.format(**paths) for arg in argv]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_non_finite_eigenvalue_exits_2(tmp_path, capsys):

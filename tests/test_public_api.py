@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import types
 from pathlib import Path
 
@@ -212,6 +213,10 @@ _ARRAY_CASES = [
     pytest.param(lambda: ec.estimate_noise_and_spikes(_two_spike_fits(22, 200)[0], 1, 1e-8,
                                                       [3]),
                  "max_iter", id="estimate_noise_and_spikes-list-max_iter"),
+    *[pytest.param(lambda tol=tol: ec.estimate_noise_and_spikes(_two_spike_fits(22, 200)[0], 1,
+                                                                tol),
+                   "tol must be positive and finite", id=f"estimate_noise_and_spikes-tol-{tol}")
+      for tol in (math.nan, -1.0, 0.0, math.inf)],
     pytest.param(lambda: ec.estimate_noise_and_spikes(None, 1), "spectrum",
                  id="estimate_noise_and_spikes-no-spectrum"),
     pytest.param(lambda: ec.estimate(None, "rmt"), "spectrum", id="estimate-no-spectrum"),
@@ -219,6 +224,11 @@ _ARRAY_CASES = [
     pytest.param(lambda: ec.run_trial(_SPEC, 1.5), "trial_index", id="run_trial-float"),
     pytest.param(lambda: ec.run_trial(_SPEC, -1), "trial_index", id="run_trial-negative"),
     pytest.param(lambda: ec.run_trial(None, 0), "spec", id="run_trial-no-spec"),
+    # A lone p or n would leave the spec's own point in force.
+    pytest.param(lambda: ec.run_trial(_SPEC, 0, 50), "p and n together",
+                 id="run_trial-lone-p"),
+    pytest.param(lambda: ec.run_trial(_SPEC, 0, n=500), "p and n together",
+                 id="run_trial-lone-n"),
     pytest.param(lambda: ec.run_sweep(None), "spec", id="run_sweep-no-spec"),
     pytest.param(lambda: ec.generate_snapshots(_MODEL, 10, None), "rng",
                  id="generate_snapshots-no-rng"),
@@ -227,6 +237,8 @@ _ARRAY_CASES = [
     pytest.param(lambda: ec.ScenarioSpec(methods=None), "methods", id="ScenarioSpec-methods-None"),
     pytest.param(lambda: ec.ScenarioSpec(methods="rmt"), "sequence of method names",
                  id="ScenarioSpec-methods-string"),
+    pytest.param(lambda: ec.ScenarioSpec(methods=("rmt", "sns", "rmt")),
+                 "'rmt' is listed more than once", id="ScenarioSpec-methods-repeated"),
     pytest.param(lambda: _context(gamma=5.0), "gamma", id="ThresholdContext-gamma"),
     pytest.param(lambda: _context(spectrum=_two_spike_fits(7, 200)[0]), "spectrum",
                  id="ThresholdContext-other-spectrum"),

@@ -443,6 +443,10 @@ class TestScenarioParsing:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             parse_scenario(text)
 
+    def test_repeated_method_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="'rmt' is listed more than once"):
+            parse_scenario("p = 20\nn = 40\nmethods = rmt, rmt\n")
+
 
 class TestScenarioSpec:
     def test_model_conversion_subtracts_noise_floor(self):

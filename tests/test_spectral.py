@@ -145,6 +145,18 @@ class TestEigSymDesc:
             with pytest.raises(InvalidInputError, match="non-finite"):
                 ec.eig_sym_desc(m, n=5)
 
+    @pytest.mark.parametrize("matrix", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, 2.0], [2.0, np.nan]],
+        np.diag([1.0, 2.0, np.nan, 3.0]),
+        [[2.0, 1.0, 0.0], [1.0, np.nan, 1.0], [0.0, 1.0, 2.0]]],
+        ids=["first-diagonal", "last-diagonal", "4x4-diagonal", "3x3-middle-diagonal"])
+    def test_nan_diagonal_entry_rejected_wherever_it_sits(self, matrix):
+        # A NaN is never equal to itself, so no such matrix is exactly
+        # symmetric; test_non_finite_entry_rejected covers the off-diagonals.
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ec.eig_sym_desc(np.array(matrix), n=10)
+
     def test_empty_matrix_rejected(self):
         with pytest.raises(InvalidInputError):
             ec.eig_sym_desc(np.zeros((0, 0)), n=5)

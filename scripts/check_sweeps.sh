@@ -18,8 +18,9 @@ sweep() {
 }
 
 # fig7 is the p > n preset: rank-deficient spectra and non-positive fitted
-# strengths.  Each preset has 3 points, so 5 trials make 15 items: blocks of
-# 8 and 7 at --jobs 2, and two workers at --jobs 3.
+# strengths.  Each preset has 3 points, so 5 trials make 15 items, dealt by
+# stride: at --jobs 2 the caller counts the 8 even items and one worker the
+# 7 odd ones, and at --jobs 3 two workers count 5 items each.
 for preset in fig7 fig11; do
   for jobs in 1 2 3; do
     sweep --preset $preset --jobs $jobs --out "$dir/$preset-jobs$jobs.csv"

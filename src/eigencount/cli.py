@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import warnings
 from dataclasses import replace
@@ -56,6 +57,16 @@ def _read_table(path: str, kind: str) -> np.ndarray:
     return table
 
 
+def _open_out(path: str):
+    """--out opened for writing.  Commands call it before their work, so an
+    unwritable path fails first; like a shell redirect, it creates or
+    empties the file at once."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_spectrum(args) -> Spectrum:
     if args.input_kind == "snapshots":
         if args.n is not None:
@@ -88,12 +99,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_trace(args) -> int:
     spectrum = _load_spectrum(args)
-    result = estimate(spectrum, args.method, _config_from(args))
-    if args.out:
-        with open(args.out, "w") as handle:
-            result.trace.to_csv(handle)
-    else:
-        sys.stdout.write(result.trace.to_csv_string())
+    with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as handle:
+        estimate(spectrum, args.method, _config_from(args)).trace.to_csv(handle)
     return EXIT_OK
 
 
@@ -116,9 +123,9 @@ def _scenario_from(args) -> ScenarioSpec:
 
 def _cmd_sweep(args) -> int:
     spec = _scenario_from(args)
-    result = run_sweep(spec, jobs=args.jobs)
-    if args.out:
-        with open(args.out, "w") as handle:
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as handle:
+        result = run_sweep(spec, jobs=args.jobs)
+        if handle:
             handle.write(result.to_csv_string())
     print(f"{'value':>8} {'method':>8} {'P_under':>9} {'P_over':>9} {'P_e':>9}")
     for row in result.rows:

@@ -30,7 +30,7 @@ from .noise import DEFAULT_MAX_ITER, DEFAULT_TOL, NoiseFit, estimate_noise_and_s
 from .probabilities import (ThresholdContext, _tw_threshold, _z_threshold,
                             pe_rmt, pe_srmt, theta_rmt, theta_srmt)
 from .signal_stats import SignalStat, decision_statistic
-from .spectral import Spectrum, _check_real
+from .spectral import Spectrum, _check_instance, _check_real
 from .tracy_widom import DEFAULT_BETA, _check_beta
 
 LOG_CLAMP = -700.0
@@ -181,12 +181,10 @@ def _compute_likelihood_terms(spectrum: Spectrum) -> tuple[np.ndarray, bool]:
 def _admit(spectrum: Spectrum, config: EstimatorConfig | None) -> EstimatorConfig:
     """config, or the default EstimatorConfig for None, for an estimator run
     on spectrum; a spectrum that is not a Spectrum or any other config raises."""
-    if not isinstance(spectrum, Spectrum):
-        raise InvalidInputError(f"spectrum must be a Spectrum, got {type(spectrum).__name__}")
+    _check_instance("spectrum", spectrum, Spectrum)
     if config is None:
         return EstimatorConfig()
-    if not isinstance(config, EstimatorConfig):
-        raise InvalidInputError(f"config must be an EstimatorConfig or None, got {config!r}")
+    _check_instance("config", config, EstimatorConfig)
     return config
 
 
@@ -241,14 +239,12 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     test applies.  Otherwise step 2 compares the noise-assumption scores,
     with the comparison orientation depending on whether gamma < 1.
 
-    The scores are undefined for a non-positive fitted strength, and for a
-    statistic whose deviation underflowed to zero (subnormal eigenvalues at
-    large n); such a step falls back to the TW test and is flagged
-    degenerate.
+    The scan calls it only where the fitted strength is positive.  The
+    scores are undefined for a statistic whose deviation underflowed to zero
+    (subnormal eigenvalues at large n); such a step falls back to the TW
+    test and is flagged degenerate.
     """
     k = fit.k
-    if fit.lambda_hat[k - 1] <= 0.0:
-        return "rmt", {"degenerate": True}, None
     fit_km1 = estimate_noise_and_spikes(spectrum, k - 1)
     ctx = ThresholdContext(k=k, fit_k=fit, fit_km1=fit_km1, spectrum=spectrum,
                            gamma=spectrum.gamma, alpha=config.alpha,
@@ -280,50 +276,26 @@ def _adaptive(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig):
     return ("srmt" if pick_srmt else "rmt"), row, ctx.stat
 
 
-def _tw_test(fit: NoiseFit, l_k: float, config: EstimatorConfig):
-    """The TW test of l_k, k = fit.k: (threshold, accepted).
-
-    l_k is accepted as a signal when it exceeds the TW threshold at
-    false-alarm alpha.
-    """
-    theta = _tw_threshold(fit, config.alpha, config.beta)
-    return theta, l_k > theta
-
-
-def _signal_search_test(spectrum: Spectrum, fit: NoiseFit, config: EstimatorConfig,
-                        stat: SignalStat | None = None):
-    """The signal-search test of l_k, k = fit.k: (statistic, threshold, accepted).
-
-    l_k is accepted when z_k exceeds the signal-search threshold at detection
-    probability alpha0.  stat, if given, is the step's statistic already
-    computed.  A non-positive fitted strength cannot be a signal and has no
-    defined statistic: it is rejected outright, with statistic and threshold
-    None.
-    """
-    k = fit.k
-    if fit.lambda_hat[k - 1] <= 0.0:
-        return None, None, False
-    if stat is None:
-        stat = decision_statistic(k, spectrum, fit, config.beta)
-    threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta, config.alpha0)
-    return stat, threshold, stat.z > threshold
-
-
 def _scan_pass(spectrum: Spectrum, config: EstimatorConfig, methods,
                trace: DecisionTrace | None = None) -> dict[str, int]:
     """The q_hat of each of rmt, srmt and sns named in methods, in one scan.
 
     At k = 1, 2, ..., while any requested scan still runs, the pass takes the
-    shared fit and applies the TW and signal-search tests once each, as far
-    as the running scans need them; each scan stops at its own first
-    rejection, so its q_hat is k - 1, or spectrum.kmax if nothing rejects.
-    sns applies, per step, the test its misdetection scores pick (_adaptive).
+    shared fit and applies the two tests once each, as far as the running
+    scans need them; each scan stops at its own first rejection, so its
+    q_hat is k - 1, or spectrum.kmax if nothing rejects.  The TW test
+    accepts l_k above the TW threshold at false-alarm alpha.  The
+    signal-search test accepts z_k above its threshold at detection
+    probability alpha0; a non-positive fitted strength cannot be a signal
+    and has no statistic, so it rejects it outright.  sns applies, per step,
+    the test its misdetection scores pick (_adaptive), and the TW test
+    where the fitted strength is non-positive.
 
     Without a trace, sns is scored only where the two verdicts differ and
     the fitted strength is positive: elsewhere the choice cannot change its
     verdict, which is then the TW test's.  With a trace, methods names one
-    scan and each step appends its TraceRow; sns is scored on every step,
-    before its test, which reuses the scores' statistic.
+    scan and each step appends its TraceRow; sns is scored on every
+    positive step, before its test, which reuses the scores' statistic.
     """
     running = [m for m in ("rmt", "srmt", "sns") if m in methods]
     q_hats = {}
@@ -333,6 +305,7 @@ def _scan_pass(spectrum: Spectrum, config: EstimatorConfig, methods,
             break
         fit = estimate_noise_and_spikes(spectrum, k)
         l_k = values[k - 1]
+        positive = fit.lambda_hat[k - 1] > 0.0
         sns = "sns" in running
         stat = None
         if trace is None:
@@ -340,17 +313,25 @@ def _scan_pass(spectrum: Spectrum, config: EstimatorConfig, methods,
         else:
             criterion, extra = running[0], {}
             if sns:
-                criterion, extra, stat = _adaptive(spectrum, fit, config)
+                criterion, extra, stat = (_adaptive(spectrum, fit, config) if positive
+                                          else ("rmt", {"degenerate": True}, None))
             tests = (criterion,)
         verdicts = {}
         if "rmt" in tests:
-            theta, verdicts["rmt"] = _tw_test(fit, l_k, config)
+            theta = _tw_threshold(fit, config.alpha, config.beta)
+            verdicts["rmt"] = l_k > theta
         if "srmt" in tests:
-            stat, threshold, verdicts["srmt"] = _signal_search_test(spectrum, fit, config, stat)
+            verdicts["srmt"] = False
+            if positive:
+                if stat is None:
+                    stat = decision_statistic(k, spectrum, fit, config.beta)
+                threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta,
+                                         config.alpha0)
+                verdicts["srmt"] = stat.z > threshold
         if sns:
             if trace is None:
                 criterion = "rmt"
-                if verdicts["rmt"] != verdicts["srmt"] and fit.lambda_hat[k - 1] > 0.0:
+                if verdicts["rmt"] != verdicts["srmt"] and positive:
                     criterion = _adaptive(spectrum, fit, config)[0]
             verdicts["sns"] = verdicts[criterion]
         if trace is not None:

@@ -14,7 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .spectral import Spectrum, _check_integer, _check_real
+from .spectral import Spectrum, _check_instance, _check_integer, _check_real
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -108,8 +108,7 @@ def estimate_noise_and_spikes(spectrum: Spectrum, k: int,
     checked first (tol must be positive and finite); every estimator
     scanning the spectrum shares one solve per k.
     """
-    if not isinstance(spectrum, Spectrum):
-        raise InvalidInputError(f"spectrum must be a Spectrum, got {type(spectrum).__name__}")
+    _check_instance("spectrum", spectrum, Spectrum)
     _check_integer("k", k, 0)
     _check_real("tol", tol)
     if not 0.0 < tol < math.inf:

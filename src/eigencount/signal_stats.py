@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateModelError, InvalidInputError
 from .noise import FLOAT_MIN, SQUARE_RANGE, NoiseFit
-from .spectral import PopulationModel, Spectrum, _check_integer
+from .spectral import PopulationModel, Spectrum, _check_instance, _check_integer
 from .tracy_widom import DEFAULT_BETA
 
 # Pairwise strength gaps below TIE_CLAMP_SCALE * max(lambda_hat, sigma2) are
@@ -128,8 +128,7 @@ def lawley_expectation(j: int, model: PopulationModel, n: int) -> float:
     Strengths closer than the interaction term's tie clamp are rejected, so
     the clamp never alters the value.
     """
-    if not isinstance(model, PopulationModel):
-        raise InvalidInputError(f"model must be a PopulationModel, got {type(model).__name__}")
+    _check_instance("model", model, PopulationModel)
     _check_integer("j", j, 1)
     _check_integer("n", n, 1)
     lam, sigma2, q = model.signal_strengths.tolist(), model.noise_variance, model.q

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .estimators import METHOD_ORDER, ESTIMATORS, EstimatorConfig, _scan_pass
 from .normal import _erfc_array, norm_ppf_array
-from .spectral import (PopulationModel, SnapshotMatrix, Spectrum, _check_integer,
+from .spectral import (PopulationModel, SnapshotMatrix, Spectrum, _check_instance, _check_integer,
                        _check_real, _is_integer, eig_sym_desc, sample_covariance)
 
 DESK_TRIALS = 1000
@@ -107,8 +107,7 @@ class ScenarioSpec:
                 f"got {self.lambdas}")
         _check_integer("trials", self.trials, 1)
         _check_integer("base_seed", self.base_seed, 0)
-        if not isinstance(self.config, EstimatorConfig):
-            raise InvalidInputError(f"config must be an EstimatorConfig, got {self.config!r}")
+        _check_instance("config", self.config, EstimatorConfig)
         if isinstance(self.methods, str) or not hasattr(self.methods, "__len__"):
             raise InvalidInputError(
                 f"methods must be a sequence of method names, got {self.methods!r}")
@@ -238,10 +237,8 @@ def generate_snapshots(model: PopulationModel, n: int,
     The matrix depends only on the stream state; _draw_spectrum takes the
     same draw.
     """
-    if not isinstance(model, PopulationModel):
-        raise InvalidInputError(f"model must be a PopulationModel, got {model!r}")
-    if not isinstance(rng, np.random.Generator):
-        raise InvalidInputError(f"rng must be a numpy Generator, got {rng!r}")
+    _check_instance("model", model, PopulationModel)
+    _check_instance("rng", rng, np.random.Generator)
     return SnapshotMatrix(_draw_snapshots(model, n, rng))
 
 
@@ -266,8 +263,7 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
     the information criteria by their estimators; every q_hat equals its
     estimator's.  trial_index must be a non-negative integer.
     """
-    if not isinstance(spec, ScenarioSpec):
-        raise InvalidInputError(f"spec must be a ScenarioSpec, got {type(spec).__name__}")
+    _check_instance("spec", spec, ScenarioSpec)
     _check_integer("trial_index", trial_index, 0)
     if (p is None) != (n is None):
         raise InvalidInputError(f"pass p and n together or neither, got p={p}, n={n}")
@@ -283,19 +279,19 @@ def run_trial(spec: ScenarioSpec, trial_index: int,
 
 
 def _count_block(args) -> Counter:
-    """Misdetection counts of one contiguous block of the flattened sweep.
+    """Misdetection counts of one strided block of the flattened sweep.
 
-    Item f of the flattened sweep is trial f % trials of point f // trials,
-    so a block [start, stop) covers the tail of one point, whole points and
-    the head of another, in sweep order.  Counts are keyed by (point index,
-    method, over-estimated): the point index keeps duplicate grid values
-    apart, and the flag is False for an under- and True for an
-    over-estimate.
+    Item f of the flattened sweep is trial f % trials of point f // trials;
+    the block holds items first, first + step, first + 2 step, ..., so the
+    sizes of a sweep's step blocks, and their shares of each point, differ
+    by at most one.  Counts are keyed by (point index, method,
+    over-estimated): the point index keeps duplicate grid values apart, and
+    the flag is False for an under- and True for an over-estimate.
     """
-    spec, points, start, stop = args
+    spec, points, first, step = args
     q_true = spec.q
     counts = Counter()
-    for item in range(start, stop):
+    for item in range(first, len(points) * spec.trials, step):
         point, idx = divmod(item, spec.trials)
         _, p, n = points[point]
         for m, q_hat in run_trial(spec, idx, p, n).items():
@@ -367,39 +363,33 @@ def run_sweep(spec: ScenarioSpec, jobs: int = 1) -> SweepResult:
     """Run all trials at every sweep point and aggregate misdetections.
 
     jobs is the number of processes that count trials, the caller included.
-    The (point, trial) items of the whole sweep are split into
-    workers = min(jobs, items) contiguous blocks whose sizes differ by at
-    most one.  The caller counts block 0 while, for workers > 1, one worker
-    process per other block counts that block.  Worker processes fork on
-    Linux and use the platform's default start method elsewhere.  The
-    caller then receives from and joins every worker before the call
-    returns, also when a block raises; a worker's exception is re-raised
-    with its own class, and a worker that exits without sending raises
-    RuntimeError.  The draw's erfc kernel is loaded before the workers
-    start, so forked workers inherit it and never load it themselves.
-    Aggregation is a commutative count merge, so the result is identical
-    for any execution order and any number of processes.
+    The (point, trial) items of the whole sweep are dealt by stride to
+    workers = min(jobs, items) blocks (_count_block).  One worker process
+    per block but block 0 starts, forked on Linux and with the platform's
+    default start method elsewhere; the caller then counts block 0.  It
+    receives from and joins every worker before the call returns, also when
+    a block raises: its own error comes first, then the lowest-numbered
+    worker's, re-raised with its own class; a worker that exits without
+    sending raises RuntimeError.  The draw's erfc kernel is loaded before
+    the workers start, so forked workers inherit it and never load it
+    themselves.  Aggregation is a commutative count merge, so the result is
+    identical for any execution order and any number of processes.
     """
-    if not isinstance(spec, ScenarioSpec):
-        raise InvalidInputError(f"spec must be a ScenarioSpec, got {type(spec).__name__}")
+    _check_instance("spec", spec, ScenarioSpec)
     _check_integer("jobs", jobs, 1)
     points = spec.sweep_points()
-    total = len(points) * spec.trials
-    workers = min(jobs, total)
-    size, extra = divmod(total, workers)
-    bounds = [i * size + min(i, extra) for i in range(workers + 1)]
-    blocks = [(spec, points, start, stop) for start, stop in zip(bounds, bounds[1:])]
+    workers = min(jobs, len(points) * spec.trials)
+    blocks = [(spec, points, first, workers) for first in range(workers)]
+    started = []
     if workers > 1:
         _erfc_array()
         started = _start_workers(blocks[1:])
-        try:
-            partials = [_count_block(blocks[0])]
-        finally:
-            messages = [_finish(process, reader) for process, reader in started]
-        partials += [_worker_counts(process, message)
-                     for (process, _), message in zip(started, messages)]
-    else:
+    try:
         partials = [_count_block(blocks[0])]
+    finally:
+        messages = [_finish(process, reader) for process, reader in started]
+    partials += [_worker_counts(process, message)
+                 for (process, _), message in zip(started, messages)]
     totals = sum(partials, Counter())
     rows = [SweepRow(sweep_value=sweep_value, method=m, trials=spec.trials,
                      count_under=totals[point, m, False], count_over=totals[point, m, True])

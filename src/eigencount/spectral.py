@@ -32,6 +32,13 @@ def _check_integer(name: str, value, minimum: int) -> None:
         raise InvalidInputError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
+def _check_instance(name: str, value, cls: type) -> None:
+    """Raise InvalidInputError unless value is an instance of cls."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(
+            f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_real(name: str, value) -> None:
     """Raise InvalidInputError unless value is a real number: ints, floats
     and numpy reals are; a bool, a string or a complex number is not."""

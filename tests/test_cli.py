@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import eigencount as ec
+from eigencount import cli
 from eigencount.cli import build_parser, main
 from eigencount.estimators import TRACE_COLUMNS
 
@@ -312,6 +313,25 @@ def test_usage_rule_exits_1(tmp_path, capsys, argv):
     paths["scenario"].write_text("p = 20\nn = 40\ntrials = 2\nmethods = rmt\n")
     assert exit_code([arg.format(**paths) for arg in argv]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "{eigs}", "--n", "100", "--out", "{missing}"],
+    ["sweep", "--preset", "fig1", "--trials", "2", "--methods", "rmt", "--out", "{missing}"],
+], ids=["trace", "sweep"])
+def test_unwritable_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    """--out in a missing directory is a data error that names the path,
+    raised before the estimate or the sweep runs."""
+    def not_called(*args, **kwargs):
+        raise AssertionError("the work ran before --out was opened")
+
+    monkeypatch.setattr(cli, "estimate", not_called)
+    monkeypatch.setattr(cli, "run_sweep", not_called)
+    paths = {"eigs": tmp_path / "eigs.csv", "missing": tmp_path / "missing" / "out.csv"}
+    write_eigs(paths["eigs"], np.full(16, 1.0))
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == ""
+    assert f"cannot write {paths['missing']}" in err and "Traceback" not in err
 
 
 def test_non_finite_eigenvalue_exits_2(tmp_path, capsys):

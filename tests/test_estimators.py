@@ -11,6 +11,7 @@ import eigencount as ec
 from eigencount.errors import InvalidInputError
 from eigencount.estimators import TRACE_COLUMNS
 from eigencount.normal import normal_tail_inv
+from eigencount.probabilities import _tw_threshold, _z_threshold
 from eigencount.signal_stats import decision_statistic
 from eigencount.simulation import generate_snapshots, trial_rng
 from eigencount.tracy_widom import centering_mu, scaling_sigma
@@ -696,6 +697,16 @@ class TestScanPass:
                 result = ec.run_trial(spec, idx, p, n)
                 assert result == expected and list(result) == list(spec.methods)
 
+    @staticmethod
+    def verdicts_differ(spectrum, fit, config):
+        """Whether the TW and signal-search verdicts of step k = fit.k differ,
+        at a positive fitted strength, from the thresholds the scan uses."""
+        k = fit.k
+        theta = _tw_threshold(fit, config.alpha, config.beta)
+        stat = decision_statistic(k, spectrum, fit, config.beta)
+        z_threshold = _z_threshold(fit.sigma2_hat, spectrum.gamma, stat.delta, config.alpha0)
+        return (float(spectrum.eigenvalues[k - 1]) > theta) != (stat.z > z_threshold)
+
     @pytest.fixture
     def scored(self, monkeypatch):
         """For each _adaptive call: whether the step's two tests disagreed."""
@@ -704,24 +715,22 @@ class TestScanPass:
         original = estimators._adaptive
 
         def counting(spectrum, fit, config):
-            tw = estimators._tw_test(fit, float(spectrum.eigenvalues[fit.k - 1]), config)[1]
-            calls.append(tw != estimators._signal_search_test(spectrum, fit, config)[2])
+            calls.append(self.verdicts_differ(spectrum, fit, config))
             return original(spectrum, fit, config)
 
         monkeypatch.setattr(estimators, "_adaptive", counting)
         return calls
 
     def test_sns_is_scored_only_where_the_tests_disagree(self, scored):
-        from eigencount.estimators import _scan_pass, _signal_search_test, _tw_test
+        from eigencount.estimators import _scan_pass
         config = ec.EstimatorConfig()
         disagreements = calls = 0
         for spectrum in preset_draws():
             depth = len(ec.estimate_sns(spectrum, config).trace.rows)
             for k in range(1, depth + 1):
                 fit = ec.estimate_noise_and_spikes(spectrum, k)
-                tw = _tw_test(fit, float(spectrum.eigenvalues[k - 1]), config)[1]
                 disagreements += (fit.lambda_hat[k - 1] > 0.0
-                                  and tw != _signal_search_test(spectrum, fit, config)[2])
+                                  and self.verdicts_differ(spectrum, fit, config))
             scored.clear()
             _scan_pass(spectrum, config, ("sns",))
             assert all(scored)

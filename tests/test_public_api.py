@@ -203,7 +203,8 @@ _ARRAY_CASES = [
                  id="lawley_expectation-float-j"),
     pytest.param(lambda: ec.lawley_expectation(1, _MODEL, "40"), "n must be an integer",
                  id="lawley_expectation-string-n"),
-    pytest.param(lambda: ec.lawley_expectation(1, None, 40), "model",
+    pytest.param(lambda: ec.lawley_expectation(1, None, 40),
+                 "model must be of type PopulationModel, got NoneType",
                  id="lawley_expectation-no-model"),
     pytest.param(lambda: ec.estimate_noise_and_spikes(_two_spike_fits(22, 200)[0], 1, "x"),
                  "tol", id="estimate_noise_and_spikes-string-tol"),
@@ -217,23 +218,33 @@ _ARRAY_CASES = [
                                                                 tol),
                    "tol must be positive and finite", id=f"estimate_noise_and_spikes-tol-{tol}")
       for tol in (math.nan, -1.0, 0.0, math.inf)],
-    pytest.param(lambda: ec.estimate_noise_and_spikes(None, 1), "spectrum",
+    pytest.param(lambda: ec.estimate_noise_and_spikes(None, 1),
+                 "spectrum must be of type Spectrum, got NoneType",
                  id="estimate_noise_and_spikes-no-spectrum"),
-    pytest.param(lambda: ec.estimate(None, "rmt"), "spectrum", id="estimate-no-spectrum"),
-    pytest.param(lambda: ec.estimate_aic(None), "spectrum", id="estimate_aic-no-spectrum"),
+    pytest.param(lambda: ec.estimate(None, "rmt"),
+                 "spectrum must be of type Spectrum, got NoneType", id="estimate-no-spectrum"),
+    pytest.param(lambda: ec.estimate_aic(None), "spectrum must be of type Spectrum, got NoneType",
+                 id="estimate_aic-no-spectrum"),
+    pytest.param(lambda: ec.estimate_rmt(_two_spike_fits(22, 200)[0], {"alpha": 0.01}),
+                 "config must be of type EstimatorConfig, got dict", id="estimate_rmt-dict-config"),
     pytest.param(lambda: ec.run_trial(_SPEC, 1.5), "trial_index", id="run_trial-float"),
     pytest.param(lambda: ec.run_trial(_SPEC, -1), "trial_index", id="run_trial-negative"),
-    pytest.param(lambda: ec.run_trial(None, 0), "spec", id="run_trial-no-spec"),
+    pytest.param(lambda: ec.run_trial(None, 0), "spec must be of type ScenarioSpec, got NoneType",
+                 id="run_trial-no-spec"),
     # A lone p or n would leave the spec's own point in force.
     pytest.param(lambda: ec.run_trial(_SPEC, 0, 50), "p and n together",
                  id="run_trial-lone-p"),
     pytest.param(lambda: ec.run_trial(_SPEC, 0, n=500), "p and n together",
                  id="run_trial-lone-n"),
-    pytest.param(lambda: ec.run_sweep(None), "spec", id="run_sweep-no-spec"),
-    pytest.param(lambda: ec.generate_snapshots(_MODEL, 10, None), "rng",
-                 id="generate_snapshots-no-rng"),
-    pytest.param(lambda: ec.generate_snapshots(None, 10, trial_rng(0, 0)), "model",
+    pytest.param(lambda: ec.run_sweep(None), "spec must be of type ScenarioSpec, got NoneType",
+                 id="run_sweep-no-spec"),
+    pytest.param(lambda: ec.generate_snapshots(_MODEL, 10, None),
+                 "rng must be of type Generator, got NoneType", id="generate_snapshots-no-rng"),
+    pytest.param(lambda: ec.generate_snapshots(None, 10, trial_rng(0, 0)),
+                 "model must be of type PopulationModel, got NoneType",
                  id="generate_snapshots-no-model"),
+    pytest.param(lambda: ec.ScenarioSpec(config="default"),
+                 "config must be of type EstimatorConfig, got str", id="ScenarioSpec-str-config"),
     pytest.param(lambda: ec.ScenarioSpec(methods=None), "methods", id="ScenarioSpec-methods-None"),
     pytest.param(lambda: ec.ScenarioSpec(methods="rmt"), "sequence of method names",
                  id="ScenarioSpec-methods-string"),

@@ -191,6 +191,31 @@ class TestSweepPool:
         # The caller counts one block, so min(jobs, items) - 1 workers start.
         assert inline_workers == [2, 14]
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_blocks_share_every_point_evenly(self, jobs, inline_workers, monkeypatch):
+        """Every item is counted once, and each block's share of each point
+        is within one of every other block's: no block gets all of the cheap
+        small-p point or all of the costly large-p one."""
+        count_block, blocks = simulation._count_block, []
+
+        def count_block_recording(block):
+            blocks.append([])
+            return count_block(block)
+
+        def run_trial_recording(spec, trial_index, p=None, n=None):
+            blocks[-1].append((p, trial_index))
+            return run_trial(spec, trial_index, p, n)
+
+        monkeypatch.setattr(simulation, "_count_block", count_block_recording)
+        monkeypatch.setattr(simulation, "run_trial", run_trial_recording)
+        run_sweep(self.SPEC, jobs=jobs)
+        assert len(blocks) == jobs
+        assert sorted(item for block in blocks for item in block) == [
+            (p, idx) for p in self.SPEC.p_list for idx in range(self.SPEC.trials)]
+        for p in self.SPEC.p_list:
+            shares = [sum(point == p for point, _ in block) for block in blocks]
+            assert max(shares) - min(shares) <= 1, (p, shares)
+
     def test_one_launch_per_call_and_workers_joined(self, monkeypatch):
         launched = []
         start_workers = simulation._start_workers
